@@ -13,6 +13,8 @@
 //! Requests reject unknown fields: a typo (`"seed"` for `"seeds"`)
 //! must fail loudly, not silently run with defaults.
 
+use std::sync::Arc;
+
 use crate::args::Effort;
 use crate::registry::{self, Spec};
 use crate::workloads;
@@ -259,8 +261,8 @@ impl StudyRequest {
     }
 
     /// Resolves the workload this request targets (the effort preset
-    /// picks its scale).
-    pub fn find_workload(&self) -> Result<Box<dyn varbench_pipeline::Workload>, String> {
+    /// picks its scale) to the process-wide shared instance.
+    pub fn find_workload(&self) -> Result<Arc<dyn varbench_pipeline::Workload>, String> {
         workloads::find(&self.workload, self.effort.scale()).ok_or_else(|| {
             format!(
                 "unknown workload \"{}\" (see GET /v1/workloads)",

@@ -64,7 +64,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::args::Effort;
 use crate::protocol::{RunRequest, StudyRequest};
 use crate::registry;
 use crate::supervisor::Supervisor;
@@ -74,6 +73,7 @@ use varbench_core::ctx::{BootstrapMode, RunContext};
 use varbench_core::json::Json;
 use varbench_core::report::json_string;
 use varbench_pipeline::faultpoint::faultpoint;
+use varbench_pipeline::Scale;
 
 /// Per-connection write timeout (and the client-side socket timeout).
 /// Generous: a cold `--full` study computes for a while before the
@@ -214,8 +214,11 @@ fn error_body(message: &str) -> String {
     format!("{{\"error\":{}}}\n", json_string(message))
 }
 
+/// `GET /v1/workloads`. Name, metric and sources do not depend on
+/// scale, so the listing renders from the cheap test-scale instances
+/// and never synthesizes a quick- or full-scale dataset.
 fn workloads_body() -> String {
-    let items: Vec<String> = workloads::all(Effort::Quick.scale())
+    let items: Vec<String> = workloads::all(Scale::Test)
         .iter()
         .map(|w| {
             let sources: Vec<String> = w
@@ -376,7 +379,9 @@ fn read_request(stream: &mut TcpStream) -> ReadOutcome {
         if let Some(i) = find_head_end(&buf) {
             break i;
         }
-        if buf.len() > MAX_HEAD {
+        // No terminator yet, so the head is at least `buf.len() - 3`
+        // bytes: the terminator may start in the last three.
+        if buf.len() > MAX_HEAD + 3 {
             return Failed(413, error_body("request head too large"));
         }
         match stream.read(&mut chunk) {
@@ -394,6 +399,10 @@ fn read_request(stream: &mut TcpStream) -> ReadOutcome {
             Err(e) => return Failed(408, error_body(&format!("read failed: {e}"))),
         }
     };
+    // A read can bring the terminator in up to a chunk past the limit.
+    if head_end > MAX_HEAD {
+        return Failed(413, error_body("request head too large"));
+    }
     let head = match std::str::from_utf8(&buf[..head_end]) {
         Ok(head) => head,
         Err(_) => return Failed(400, error_body("request head is not UTF-8")),
@@ -547,6 +556,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) -> bool {
             ReadOutcome::Failed(status, body) => {
                 let _ = stream.write_all(render_response(status, &body, true).as_bytes());
                 let _ = stream.flush();
+                drain_and_close(&mut stream);
                 break;
             }
         }
@@ -554,22 +564,35 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) -> bool {
     shutdown
 }
 
+/// Finishes a connection whose request was answered without being read
+/// to the end: shut down writes, then drain what the client sent.
+/// Dropping a socket with unread bytes in its receive buffer turns the
+/// close into an RST, which can destroy the response on its way out.
+/// The drain stops at EOF, after a read idle for one second, or after
+/// `MAX_BODY` bytes.
+fn drain_and_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let mut sink = [0u8; 4096];
+    let mut drained = 0;
+    while drained < MAX_BODY {
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => drained += n,
+            _ => break,
+        }
+    }
+}
+
 /// Rejects a connection at the accept gate without reading it: the
 /// queue is full, so the client gets an immediate `503` and the
 /// listener moves on. Shedding is what keeps the server answering
 /// health checks while a burst drains.
 fn shed(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let body = error_body("server at capacity; retry with backoff");
     let _ = stream.write_all(render_response(503, &body, true).as_bytes());
     let _ = stream.flush();
-    // Drain whatever the client already sent before closing: dropping
-    // a socket with unread bytes in its receive buffer turns the close
-    // into an RST, which can destroy the 503 on its way out.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = [0u8; 4096];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    drain_and_close(&mut stream);
 }
 
 /// A bound, not-yet-running server.
@@ -919,11 +942,30 @@ fn parse_response(raw: &[u8]) -> Option<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Effort;
     use crate::protocol::json_envelope;
 
     fn state() -> ServeState {
         ServeState::new(RunContext::serial_cached())
     }
+
+    const WORKLOADS_BODY: &str = concat!(
+        r#"{"workloads":["#,
+        r#"{"name":"glue-rte-bert","metric":"accuracy","#,
+        r#""sources":["data_split","weights_init","data_order","dropout","hyperopt"]},"#,
+        r#"{"name":"glue-sst2-bert","metric":"accuracy","#,
+        r#""sources":["data_split","weights_init","data_order","dropout","hyperopt"]},"#,
+        r#"{"name":"mhc-mlp","metric":"AUC","#,
+        r#""sources":["data_split","weights_init","data_order","hyperopt"]},"#,
+        r#"{"name":"pascalvoc-resnet","metric":"mean IoU","#,
+        r#""sources":["data_split","weights_init","data_order","numerical_noise","hyperopt"]},"#,
+        r#"{"name":"cifar10-vgg11","metric":"accuracy","#,
+        r#""sources":["data_split","data_augment","weights_init","data_order","hyperopt"]},"#,
+        r#"{"name":"linear-logreg","metric":"accuracy","#,
+        r#""sources":["data_split","weights_init","data_order","hyperopt"]},"#,
+        r#"{"name":"synthetic-ridge","metric":"AUC","sources":["data_split","hyperopt"]}"#,
+        "]}\n"
+    );
 
     #[test]
     fn route_serves_discovery_endpoints() {
@@ -931,14 +973,11 @@ mod tests {
         let (status, body) = route(&s, "GET", "/health", "");
         assert_eq!((status, body.as_str()), (200, "{\"ok\":true}\n"));
 
+        // Pinned byte for byte: the listing renders from test-scale
+        // instances, and clients must not see the difference.
         let (status, body) = route(&s, "GET", "/v1/workloads", "");
         assert_eq!(status, 200);
-        let doc = Json::parse(&body).expect("workloads body is valid JSON");
-        let items = doc.get("workloads").and_then(Json::as_array).unwrap();
-        assert_eq!(items.len(), 7);
-        assert!(items
-            .iter()
-            .any(|w| w.get("name").and_then(Json::as_str) == Some("synthetic-ridge")));
+        assert_eq!(body, WORKLOADS_BODY);
 
         let (status, body) = route(&s, "GET", "/v1/artifacts", "");
         assert_eq!(status, 200);
@@ -1242,6 +1281,27 @@ mod tests {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"GET /health HTTP/1.1\r\n").unwrap();
         drop(s);
+
+        // A head at the limit is served; one byte over is refused, also
+        // when the read that crosses the limit completes the head, and
+        // the refusal reaches the client instead of a reset.
+        for (head_len, want) in [
+            (MAX_HEAD, 200),
+            (MAX_HEAD + 1, 413),
+            (18_048, 413),
+            (20_648, 413),
+        ] {
+            let mut head = b"GET /health HTTP/1.1\r\nConnection: close\r\nX-Pad: ".to_vec();
+            head.resize(head_len, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(&head).unwrap();
+            let mut raw = Vec::new();
+            s.read_to_end(&mut raw)
+                .unwrap_or_else(|e| panic!("{head_len}-byte head: {e}"));
+            let (status, body) = parse_response(&raw).expect("well-formed response");
+            assert_eq!(status, want, "{head_len}-byte head: {body}");
+        }
 
         // Server still answers afterwards.
         let (status, _) = http_request(addr, "GET", "/health", None).unwrap();

@@ -235,6 +235,19 @@ case "$gc_out" in
     *) echo "ERROR: server crash left torn records" >&2; exit 1 ;;
 esac
 
+say "benchmark smoke: serve-warm, every served body checked"
+# A short serve-warm run of the end-to-end benchmark (perfbench/). Its
+# last stdout line reports "correct":true only when every served study,
+# listing and run body matched its in-process reference. Building into
+# target/ reuses the release binary the steps above tested.
+bench_last=$(CARGO_TARGET_DIR=target bash perfbench/run.sh \
+    --workload serve-warm --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$bench_last"
+case "$bench_last" in
+    '{"correct":true,'*) ;;
+    *) echo "ERROR: the serve-warm benchmark run was not correct" >&2; exit 1 ;;
+esac
+
 say "varbench lint (repo-invariant checker; hard gate)"
 target/release/varbench lint
 # The gate must actually detect violations: seed one and expect exit 1
