@@ -27,11 +27,8 @@ use varbench_bench::protocol::{json_envelope, parse_algo, parse_source, StudyReq
 use varbench_bench::registry::{self, RunContext, Spec};
 use varbench_bench::serve::{http_request, http_request_retry, ServeState, Server};
 use varbench_bench::timing::{parse_snapshot, BenchResult, Harness, Output};
-use varbench_bench::worker::{
-    dispatch, run_worker, study_jobs, DispatchConfig, DispatchJob, Job, WorkerConfig,
-};
+use varbench_bench::worker::{dispatch, run_worker, study_jobs, DispatchConfig, WorkerConfig};
 use varbench_bench::{suites, workloads};
-use varbench_core::ctx::BootstrapMode;
 use varbench_core::exec::Runner;
 use varbench_core::report::Report;
 use varbench_core::retry::RetryPolicy;
@@ -116,7 +113,6 @@ OPTIONS (serve):
     --row-timeout-ms T          reclaim a dispatched row after T ms without
                                 progress (default 2000)
     --serial / --threads N      executor knobs shared by all requests
-    --par-bootstrap             as for run
     endpoints: GET /health /v1/ready /v1/workloads /v1/artifacts
     /v1/cache/stats; POST /v1/run /v1/study /v1/shutdown
     (JSON; see README 'Serving')
@@ -160,20 +156,10 @@ OPTIONS (run):
     --serial                    run artifacts one at a time on one thread
     --no-cache                  give every artifact a private measurement cache
     --threads N                 worker threads (default: VARBENCH_THREADS or all cores)
-    --workers N                 shard the artifacts across N `varbench worker`
-                                subprocesses over the shared cache dir (needs
-                                VARBENCH_CACHE_DIR; incompatible with
-                                --no-cache and --par-bootstrap)
-    --par-bootstrap             split-stream parallel bootstrap: resample loops
-                                fan out across cores (bit-identical for any
-                                thread count, but a different randomization
-                                than the committed serial-bootstrap artifacts;
-                                cached measurements use a quarantined key space)
 
 ENVIRONMENT:
     VARBENCH_THREADS            default worker thread count (0 = all cores)
     VARBENCH_CACHE_DIR          persist the measurement cache to this directory
-    VARBENCH_PAR_BOOTSTRAP      1/true = default `run` to --par-bootstrap
 
 Run `varbench list` for artifact names and `varbench workloads` for the
 registered workloads (measure one with `varbench run workload-linear`).";
@@ -477,33 +463,19 @@ fn cache_command(args: &[String]) {
 
 /// Builds the execution context `serve`/`study` run against: executor
 /// knobs plus the (possibly disk-backed) shared measurement cache.
-fn build_ctx(serial: bool, threads: Option<usize>, par_bootstrap: bool) -> RunContext {
+fn build_ctx(serial: bool, threads: Option<usize>) -> RunContext {
     let runner = match (serial, threads) {
         (true, _) => Runner::serial(),
         (false, Some(n)) => Runner::new(n),
         (false, None) => Runner::from_env(),
     };
-    let bootstrap = if par_bootstrap {
-        BootstrapMode::SplitPerReplicate
-    } else {
-        BootstrapMode::from_env()
-    };
-    RunContext::new(runner, MeasureCache::from_env()).with_bootstrap(bootstrap)
+    RunContext::new(runner, MeasureCache::from_env())
 }
 
-/// Validates the sharded-dispatch preconditions and returns the shared
-/// cache directory the fleet coordinates through. Workers always
-/// publish records under the default serial-bootstrap key variant (the
-/// only one whose bytes match the committed artifacts), so the
-/// dispatching driver must be probing that same variant, and both sides
-/// need a disk cache they can actually share.
+/// Returns the shared cache directory a dispatching driver and its
+/// fleet coordinate through: both sides need a disk cache they can
+/// actually share.
 fn dispatch_cache_dir(ctx: &RunContext) -> std::path::PathBuf {
-    if BootstrapMode::from_env() != BootstrapMode::Serial {
-        fail(&format!(
-            "sharded dispatch watches serial-bootstrap cache keys; unset {} first",
-            varbench_core::ctx::PAR_BOOTSTRAP_ENV
-        ));
-    }
     match ctx.cache().dir() {
         Some(dir) => dir.to_path_buf(),
         None => fail(&format!(
@@ -544,7 +516,6 @@ fn serve_command(args: &[String]) {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut serial = false;
     let mut threads: Option<usize> = None;
-    let mut par_bootstrap = false;
     let mut ready_file: Option<std::path::PathBuf> = None;
     let mut handlers: Option<usize> = None;
     let mut queue: Option<usize> = None;
@@ -557,7 +528,6 @@ fn serve_command(args: &[String]) {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--serial" => serial = true,
-            "--par-bootstrap" => par_bootstrap = true,
             "--workers" => {
                 let v = it.next().unwrap_or_else(|| fail("--workers needs a count"));
                 fleet_workers = v
@@ -638,16 +608,13 @@ fn serve_command(args: &[String]) {
             other => fail(&format!("unknown serve argument '{other}'")),
         }
     }
-    let ctx = build_ctx(serial, threads, par_bootstrap);
+    let ctx = build_ctx(serial, threads);
     let persistent = ctx.cache().is_persistent();
     // Fleet mode: supervise `--workers` child processes over the shared
     // disk cache so dispatched studies (`"dispatch": true`) compute in
-    // the fleet. Same preconditions as local sharding: a disk cache the
-    // children can see, publishing serial-bootstrap records.
+    // the fleet. Same precondition as local sharding: a disk cache the
+    // children can see.
     let fleet = if fleet_workers > 0 {
-        if par_bootstrap {
-            fail("--workers publishes serial-bootstrap records; drop --par-bootstrap");
-        }
         let dir = dispatch_cache_dir(&ctx);
         let mut cfg = varbench_bench::supervisor::SupervisorConfig::new(dir, fleet_workers);
         // `--max-respawns M` = M respawns after the initial spawn.
@@ -1046,7 +1013,7 @@ fn study_command(args: &[String]) {
         return;
     }
 
-    let ctx = build_ctx(serial, threads, false);
+    let ctx = build_ctx(serial, threads);
 
     // Sharded path: enqueue the study's measurement plan for a worker
     // fleet, wait (with reclaim of stalled rows), then fall through to
@@ -1224,9 +1191,7 @@ fn run(args: &[String]) {
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut serial = false;
     let mut no_cache = false;
-    let mut par_bootstrap = false;
     let mut threads: Option<usize> = None;
-    let mut workers: Option<usize> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1235,14 +1200,6 @@ fn run(args: &[String]) {
             "--csv" => format = Format::Csv,
             "--serial" => serial = true,
             "--no-cache" => no_cache = true,
-            "--par-bootstrap" => par_bootstrap = true,
-            "--workers" => {
-                let v = it.next().unwrap_or_else(|| fail("--workers needs a count"));
-                workers = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid worker count '{v}'"))),
-                );
-            }
             "--filter" => {
                 let v = it.next().unwrap_or_else(|| fail("--filter needs a value"));
                 filter = Some(v.clone());
@@ -1300,43 +1257,6 @@ fn run(args: &[String]) {
         (false, Some(n)) => Runner::new(n),
         (false, None) => Runner::from_env(),
     };
-    let bootstrap = if par_bootstrap {
-        BootstrapMode::SplitPerReplicate
-    } else {
-        BootstrapMode::from_env()
-    };
-    if bootstrap == BootstrapMode::SplitPerReplicate {
-        eprintln!(
-            "bootstrap: split-stream (parallel) — output is thread-count stable but \
-             not byte-comparable to serial-bootstrap artifacts"
-        );
-    }
-
-    // Sharded path: farm each selected artifact out to a worker fleet
-    // over the shared disk cache, then assemble the reports in-process
-    // below from the warm cache — byte-identical to an unsharded run.
-    if let Some(n) = workers {
-        if no_cache {
-            fail("--workers shards through the shared cache; drop --no-cache");
-        }
-        if bootstrap != BootstrapMode::Serial {
-            fail("--workers publishes serial-bootstrap records; drop --par-bootstrap");
-        }
-        let probe_ctx = RunContext::new(runner, MeasureCache::from_env());
-        let dir = dispatch_cache_dir(&probe_ctx);
-        let jobs: Vec<DispatchJob> = specs
-            .iter()
-            .map(|s| DispatchJob {
-                id: Job::artifact_id(s.name, effort),
-                job: Job::Artifact {
-                    name: s.name.to_string(),
-                    effort,
-                },
-                probe: None,
-            })
-            .collect();
-        report_dispatch(&dispatch(&DispatchConfig::new(dir, n), jobs, &probe_ctx));
-    }
     // --no-cache: each artifact gets its own throwaway in-memory cache,
     // so nothing is shared across artifacts or persisted — but the batch
     // is still scheduled in parallel, intra-artifact memoization (e.g.
@@ -1344,13 +1264,13 @@ fn run(args: &[String]) {
     // per-artifact output is bit-identical either way.
     let reports = if no_cache {
         runner.map_indexed(specs.len(), |i| {
-            let ctx = RunContext::new(runner, MeasureCache::new()).with_bootstrap(bootstrap);
+            let ctx = RunContext::new(runner, MeasureCache::new());
             registry::run_specs(&[specs[i]], effort, &ctx)
                 .pop()
                 .expect("one report per spec")
         })
     } else {
-        let ctx = RunContext::new(runner, MeasureCache::from_env()).with_bootstrap(bootstrap);
+        let ctx = RunContext::new(runner, MeasureCache::from_env());
         let reports = registry::run_specs(&specs, effort, &ctx);
         let s = ctx.cache().stats();
         eprintln!(

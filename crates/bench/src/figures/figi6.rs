@@ -8,7 +8,7 @@
 
 use crate::args::Effort;
 use crate::registry::RunContext;
-use varbench_core::compare::{average_comparison, compare_paired_with};
+use varbench_core::compare::{average_comparison, compare_paired};
 use varbench_core::report::{num, pct, Report, Table};
 use varbench_core::simulation::{simulate_measures, SimEstimator, SimulatedTask};
 use varbench_rng::SeedTree;
@@ -93,18 +93,12 @@ pub fn rates_at(
     // delta = Phi^-1(gamma) * sigma (Appendix I).
     let delta = standard_normal_quantile(gamma) * config.sigma;
     let tree = SeedTree::new(seed);
-    let bootstrap = ctx.bootstrap();
     let outcomes = ctx.runner().map_indexed(config.n_simulations, |si| {
         let mut rng = tree.rng_indexed("sim", si as u64);
         let a = simulate_measures(&task, SimEstimator::Ideal, 0.5 + gap, n, &mut rng);
         let b = simulate_measures(&task, SimEstimator::Ideal, 0.5, n, &mut rng);
         let avg = average_comparison(&a, &b, delta);
-        // Serial per-unit context inheriting the bootstrap mode: this
-        // closure already runs inside an executor unit, so its bootstrap
-        // must not spawn a nested worker scope.
-        let unit_ctx = RunContext::serial().with_bootstrap(bootstrap);
-        let po = compare_paired_with(&a, &b, gamma, 0.05, config.resamples, &mut rng, &unit_ctx)
-            .is_improvement();
+        let po = compare_paired(&a, &b, gamma, 0.05, config.resamples, &mut rng).is_improvement();
         let tt = t_test_welch(&a, &b, Alternative::Greater).p_value < 0.05;
         (avg, po, tt)
     });

@@ -69,7 +69,7 @@ use crate::registry;
 use crate::supervisor::Supervisor;
 use crate::worker;
 use crate::workloads;
-use varbench_core::ctx::{BootstrapMode, RunContext};
+use varbench_core::ctx::RunContext;
 use varbench_core::json::Json;
 use varbench_core::report::json_string;
 use varbench_pipeline::faultpoint::faultpoint;
@@ -312,13 +312,6 @@ fn run_study_dispatched(state: &ServeState, req: &StudyRequest) -> Result<String
             "dispatch needs a disk-backed cache: restart serve with VARBENCH_CACHE_DIR set".into(),
         );
     };
-    if ctx.bootstrap() != BootstrapMode::Serial {
-        return Err(
-            "dispatch requires the default serial bootstrap mode: restart serve without \
-             VARBENCH_PAR_BOOTSTRAP"
-                .into(),
-        );
-    }
     let workload = req.find_workload()?;
     let plan = req.configure(workload.as_ref())?.plan();
     let jobs = worker::study_jobs(&req.workload, req.effort, workload.as_ref(), plan, ctx);

@@ -36,19 +36,15 @@
 //! Job ids for study units are the measurement's canonical cache key,
 //! so the lease namespace is keyed by *what* is computed — two drivers
 //! dispatching overlapping studies share workers' results for free. The
-//! serial key canon itself is never touched (the L004 firewall): leases
+//! key canon itself is never touched (the L004 firewall): leases
 //! and queue files live beside the records, not inside their keys.
-//!
-//! Sharding requires the default serial-bootstrap mode: a driver under
-//! `--par-bootstrap` would assemble from quarantined key variants the
-//! workers never compute. [`dispatch`] refuses the combination.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::args::Effort;
 use crate::protocol::{parse_algo, parse_source};
-use crate::registry::{self, RunContext};
+use crate::registry::RunContext;
 use crate::workloads;
 use varbench_core::exec::Runner;
 use varbench_core::retry::RetryPolicy;
@@ -57,75 +53,44 @@ use varbench_pipeline::faultpoint::faultpoint;
 use varbench_pipeline::lease::{
     self, claim, dequeue, enqueue, job_path, read_lease, release, scan_queue, ClaimOutcome,
 };
-use varbench_pipeline::{MeasureCache, VarianceSource, Workload};
+use varbench_pipeline::{MeasureCache, MeasureKey, VarianceSource, Workload};
 
-/// One unit of fleet work: a planned study measurement or a whole
-/// registry artifact (the `run --workers` path).
+/// One unit of fleet work: one `Study::plan` unit of `workload` at
+/// `effort`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Job {
-    /// One `Study::plan` unit of `workload` at `effort`.
-    Study {
-        /// Registered workload name.
-        workload: String,
-        /// Effort preset (fixes the workload scale).
-        effort: Effort,
-        /// The planned measurement to execute.
-        pm: PlannedMeasurement,
-    },
-    /// One registry artifact (its measurements all land in the shared
-    /// cache; the driver re-runs it warm for the report).
-    Artifact {
-        /// Registry artifact name.
-        name: String,
-        /// Effort preset.
-        effort: Effort,
-    },
+pub struct Job {
+    /// Registered workload name.
+    pub workload: String,
+    /// Effort preset (fixes the workload scale).
+    pub effort: Effort,
+    /// The planned measurement to execute.
+    pub pm: PlannedMeasurement,
 }
 
 impl Job {
-    /// The job id this unit leases under. Study units use the
-    /// measurement's canonical cache key — computed by the caller, who
-    /// holds the context — so this returns `None` for them;
-    /// [`Job::Artifact`] ids are derived here.
-    pub fn artifact_id(name: &str, effort: Effort) -> String {
-        format!("artifact/{name}/{}", effort.label())
-    }
-
     /// Serializes the job payload (the text after the queue-file
     /// headers). Line-oriented `key value` pairs; everything round-trips
     /// through [`parse_job`].
     pub fn render(&self) -> String {
-        match self {
-            Job::Study {
-                workload,
-                effort,
-                pm,
-            } => {
-                let unit = match &pm.unit {
-                    StudyUnit::Source(src) => format!("source {}", src.label()),
-                    StudyUnit::Joint(sources) => {
-                        let labels: Vec<&str> = sources.iter().map(|s| s.label()).collect();
-                        format!("joint {}", labels.join(","))
-                    }
-                    StudyUnit::HyperOpt => "hyperopt".to_string(),
-                };
-                format!(
-                    "kind study\nworkload {workload}\neffort {}\nunit {unit}\n\
-                     seeds {}\nalgo {}\nbudget {}\nbase-seed {}\n",
-                    effort.label(),
-                    pm.seeds,
-                    pm.algo.display_name(),
-                    pm.budget,
-                    pm.base_seed
-                )
+        let pm = &self.pm;
+        let unit = match &pm.unit {
+            StudyUnit::Source(src) => format!("source {}", src.label()),
+            StudyUnit::Joint(sources) => {
+                let labels: Vec<&str> = sources.iter().map(|s| s.label()).collect();
+                format!("joint {}", labels.join(","))
             }
-            Job::Artifact { name, effort } => {
-                format!(
-                    "kind artifact\nartifact {name}\neffort {}\n",
-                    effort.label()
-                )
-            }
-        }
+            StudyUnit::HyperOpt => "hyperopt".to_string(),
+        };
+        format!(
+            "kind study\nworkload {}\neffort {}\nunit {unit}\n\
+             seeds {}\nalgo {}\nbudget {}\nbase-seed {}\n",
+            self.workload,
+            self.effort.label(),
+            pm.seeds,
+            pm.algo.display_name(),
+            pm.budget,
+            pm.base_seed
+        )
     }
 }
 
@@ -185,16 +150,12 @@ pub fn parse_job(payload: &str) -> Result<Job, String> {
                     .parse()
                     .map_err(|_| "bad base-seed".to_string())?,
             };
-            Ok(Job::Study {
+            Ok(Job {
                 workload: get("workload")?.to_string(),
                 effort: effort(get("effort")?)?,
                 pm,
             })
         }
-        Some("artifact") => Ok(Job::Artifact {
-            name: get("artifact")?.to_string(),
-            effort: effort(get("effort")?)?,
-        }),
         Some(other) => Err(format!("unknown job kind `{other}`")),
         None => Err("job payload has no kind".to_string()),
     }
@@ -253,9 +214,7 @@ pub struct WorkerSummary {
     pub skipped: u64,
 }
 
-/// Builds the execution context a worker computes in. Bootstrap mode is
-/// pinned to the serial default — the only mode whose keys a dispatch
-/// driver watches — regardless of `VARBENCH_PAR_BOOTSTRAP`.
+/// Builds the execution context a worker computes in.
 fn worker_ctx(cfg: &WorkerConfig) -> RunContext {
     let runner = match (cfg.serial, cfg.threads) {
         (true, _) => Runner::serial(),
@@ -267,47 +226,25 @@ fn worker_ctx(cfg: &WorkerConfig) -> RunContext {
 
 /// Whether `job`'s output is already in the cache (the fast path that
 /// lets a replacement worker dequeue a row whose first owner died
-/// *after* publishing but before dequeueing). Artifact jobs never
-/// short-circuit: re-running one against a warm cache recomputes
-/// nothing anyway.
+/// *after* publishing but before dequeueing).
 fn satisfied(job: &Job, ctx: &RunContext) -> bool {
-    match job {
-        Job::Study {
-            workload,
-            effort,
-            pm,
-        } => match workloads::find(workload, effort.scale()) {
-            Some(w) => {
-                let key = ctx.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
-                ctx.cache().probe_rows(&key) >= pm.seeds
-            }
-            None => false,
-        },
-        Job::Artifact { .. } => false,
+    match workloads::find(&job.workload, job.effort.scale()) {
+        Some(w) => {
+            let key = MeasureKey::new(w.as_ref(), job.pm.measure_kind(), job.pm.base_seed);
+            ctx.cache().probe_rows(&key) >= job.pm.seeds
+        }
+        None => false,
     }
 }
 
-/// Executes one claimed job through the same estimator paths the
-/// in-process study and `run` commands use.
+/// Executes one claimed job through the same estimator path the
+/// in-process study uses.
 fn execute(job: &Job, ctx: &RunContext) -> Result<(), String> {
     faultpoint("worker:mid-row");
-    match job {
-        Job::Study {
-            workload,
-            effort,
-            pm,
-        } => {
-            let w = workloads::find(workload, effort.scale())
-                .ok_or_else(|| format!("unknown workload `{workload}`"))?;
-            let _ = pm.execute(w.as_ref(), ctx);
-            Ok(())
-        }
-        Job::Artifact { name, effort } => {
-            let spec = registry::find(name).ok_or_else(|| format!("unknown artifact `{name}`"))?;
-            let _ = spec.run(*effort, ctx);
-            Ok(())
-        }
-    }
+    let w = workloads::find(&job.workload, job.effort.scale())
+        .ok_or_else(|| format!("unknown workload `{}`", job.workload))?;
+    let _ = job.pm.execute(w.as_ref(), ctx);
+    Ok(())
 }
 
 /// Owner-checked release of a held lease on every exit path. The worker
@@ -484,21 +421,21 @@ pub struct DispatchOutcome {
     pub timed_out: bool,
 }
 
-/// One dispatchable unit: its lease id, payload, and (for study units)
-/// the cache probe that signals completion.
+/// One dispatchable unit: its lease id, payload, and the cache probe
+/// that signals completion.
 pub struct DispatchJob {
-    /// Lease/queue id (study units: the measurement key canon).
+    /// Lease/queue id: the measurement key canon.
     pub id: String,
     /// The work itself.
     pub job: Job,
-    /// `Some((key, rows))`: done when the cache holds `rows` rows under
-    /// `key`. `None` (artifacts): done when the job file is dequeued.
-    pub probe: Option<(varbench_pipeline::MeasureKey, usize)>,
+    /// `(key, rows)`: done when the cache holds `rows` rows under `key`
+    /// (or when the job file is dequeued).
+    pub probe: (MeasureKey, usize),
 }
 
 struct Tracked {
     id: String,
-    probe: Option<(varbench_pipeline::MeasureKey, usize)>,
+    probe: (MeasureKey, usize),
     done: bool,
     last_generation: u64,
     stalled: Duration,
@@ -509,12 +446,10 @@ struct Tracked {
 /// [`RetryPolicy`] — until every unit is satisfied or the wait budget
 /// expires. On return (either way), leftover queue files for missing
 /// units are cancelled and spawned workers are reaped; the caller then
-/// runs its study/artifacts in-process against the warm cache, which
+/// runs its study in-process against the warm cache, which
 /// computes only what the fleet did not deliver.
 ///
-/// `probe_ctx` is only used to probe the cache for published records;
-/// it must address keys in the default serial-bootstrap variant (the
-/// caller guarantees this — see the module docs).
+/// `probe_ctx` is only used to probe the cache for published records.
 pub fn dispatch(
     cfg: &DispatchConfig,
     jobs: Vec<DispatchJob>,
@@ -527,11 +462,8 @@ pub fn dispatch(
     };
     let mut tracked: Vec<Tracked> = Vec::new();
     for dj in jobs {
-        let done_upfront = match &dj.probe {
-            Some((key, rows)) => probe_ctx.cache().probe_rows(key) >= *rows,
-            None => false,
-        };
-        if done_upfront {
+        let (key, rows) = &dj.probe;
+        if probe_ctx.cache().probe_rows(key) >= *rows {
             outcome.satisfied_upfront += 1;
             continue;
         }
@@ -575,10 +507,8 @@ pub fn dispatch(
     loop {
         let mut missing = 0usize;
         for t in tracked.iter_mut().filter(|t| !t.done) {
-            let published = match &t.probe {
-                Some((key, rows)) => probe_ctx.cache().probe_rows(key) >= *rows,
-                None => false,
-            };
+            let (key, rows) = &t.probe;
+            let published = probe_ctx.cache().probe_rows(key) >= *rows;
             if published || !job_path(dir, &t.id).exists() {
                 t.done = true;
                 outcome.completed += 1;
@@ -659,20 +589,24 @@ fn reap(fleet: &mut Vec<std::process::Child>) {
 
 /// Builds the [`DispatchJob`] list for a study plan: one job per
 /// planned unit, leased under the unit's canonical cache key.
+///
+/// The key depends only on the workload and the plan, so `_ctx` is
+/// unused; the parameter stays because the end-to-end benchmark in
+/// `perfbench/` calls this signature.
 pub fn study_jobs(
     workload_name: &str,
     effort: Effort,
     w: &dyn Workload,
     plan: Vec<PlannedMeasurement>,
-    ctx: &RunContext,
+    _ctx: &RunContext,
 ) -> Vec<DispatchJob> {
     plan.into_iter()
         .map(|pm| {
-            let key = ctx.measure_key(w, pm.measure_kind(), pm.base_seed);
+            let key = MeasureKey::new(w, pm.measure_kind(), pm.base_seed);
             DispatchJob {
                 id: key.canon().to_string(),
-                probe: Some((key, pm.seeds)),
-                job: Job::Study {
+                probe: (key, pm.seeds),
+                job: Job {
                     workload: workload_name.to_string(),
                     effort,
                     pm,
@@ -705,22 +639,21 @@ mod tests {
     #[test]
     fn job_payloads_round_trip() {
         for pm in plan_for("glue-rte-bert", Effort::Test, 3) {
-            let job = Job::Study {
+            let job = Job {
                 workload: "glue-rte-bert".into(),
                 effort: Effort::Test,
                 pm,
             };
             assert_eq!(parse_job(&job.render()).unwrap(), job);
         }
-        let artifact = Job::Artifact {
-            name: "workload-synth".into(),
-            effort: Effort::Quick,
-        };
-        assert_eq!(parse_job(&artifact.render()).unwrap(), artifact);
 
         assert!(parse_job("garbage\n").is_err());
         assert!(parse_job("kind study\n").is_err(), "missing fields");
         assert!(parse_job("kind nope\n").is_err());
+        assert_eq!(
+            parse_job("kind artifact\nartifact workload-synth\neffort quick\n"),
+            Err("unknown job kind `artifact`".to_string())
+        );
     }
 
     #[test]
@@ -732,12 +665,12 @@ mod tests {
         let probe = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
         let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
         for pm in &plan {
-            let job = Job::Study {
+            let job = Job {
                 workload: "synthetic-ridge".into(),
                 effort,
                 pm: pm.clone(),
             };
-            let key = probe.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
+            let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
             enqueue(&dir, key.canon(), &job.render()).unwrap();
         }
         let mut cfg = WorkerConfig::new(&dir);
@@ -748,7 +681,7 @@ mod tests {
         assert!(scan_queue(&dir).is_empty(), "queue drained");
         assert!(lease::scan_leases(&dir).is_empty(), "leases released");
         for pm in &plan {
-            let key = probe.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
+            let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
             assert_eq!(probe.cache().probe_rows(&key), 3, "{}", pm.label());
         }
         // A second worker over the same queue finds nothing.
@@ -767,8 +700,8 @@ mod tests {
         // publish-before-dequeue shape.
         for pm in &plan {
             let _ = pm.execute(w.as_ref(), &ctx);
-            let key = ctx.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
-            let job = Job::Study {
+            let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
+            let job = Job {
                 workload: "synthetic-ridge".into(),
                 effort,
                 pm: pm.clone(),
@@ -829,11 +762,10 @@ mod tests {
         let dir = scratch("panic-release");
         let effort = Effort::Test;
         let plan = plan_for("synthetic-ridge", effort, 2);
-        let probe = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
         let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
         let pm = plan[0].clone();
-        let key = probe.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
-        let job = Job::Study {
+        let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
+        let job = Job {
             workload: "synthetic-ridge".into(),
             effort,
             pm,
@@ -867,11 +799,10 @@ mod tests {
         let dir = scratch("stopfile");
         let effort = Effort::Test;
         let plan = plan_for("synthetic-ridge", effort, 2);
-        let probe = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
         let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
         let pm = plan[0].clone();
-        let key = probe.measure_key(w.as_ref(), pm.measure_kind(), pm.base_seed);
-        let job = Job::Study {
+        let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
+        let job = Job {
             workload: "synthetic-ridge".into(),
             effort,
             pm,

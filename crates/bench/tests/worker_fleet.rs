@@ -113,10 +113,7 @@ fn killed_workers_never_corrupt_the_study() {
     // The half-published record must be invisible: a tmp file is not a
     // record until the atomic rename lands.
     let probe = MeasureCache::with_dir(&cache);
-    let visible: usize = jobs
-        .iter()
-        .map(|dj| probe.probe_rows(&dj.probe.as_ref().expect("study probe").0))
-        .sum();
+    let visible: usize = jobs.iter().map(|dj| probe.probe_rows(&dj.probe.0)).sum();
     assert_eq!(visible, 0, "an aborted publish must not expose a record");
 
     // Victim 2 dies mid-row on the other unit, lease freshly claimed,

@@ -1,12 +1,8 @@
 //! The three benchmark conclusion criteria of the paper's Section 4, and
 //! the recommended decision procedure of Appendix C.6.
 
-use crate::ctx::{BootstrapMode, RunContext};
 use varbench_rng::Rng;
-use varbench_stats::bootstrap::{
-    ci_from_replicates, paired_replicate, percentile_ci_paired, percentile_ci_prob_outperform,
-    prob_outperform, prob_outperform_replicate, split_replicate_seeds, win_indicators,
-};
+use varbench_stats::bootstrap::{percentile_ci_prob_outperform, prob_outperform};
 use varbench_stats::describe::mean;
 use varbench_stats::ConfidenceInterval;
 
@@ -125,116 +121,6 @@ pub fn try_compare_paired(
     validate_comparison(a, b, gamma, alpha, resamples)?;
     let ci = percentile_ci_prob_outperform(a, b, resamples, alpha, rng);
     Ok(verdict(a, b, ci, gamma))
-}
-
-/// [`try_compare_paired`] under an execution context: the bootstrap
-/// randomization follows `ctx.bootstrap()`.
-///
-/// * [`BootstrapMode::Serial`] — byte-identical to
-///   [`try_compare_paired`] (one generator threaded through every
-///   replicate, the stream every committed artifact was produced with).
-/// * [`BootstrapMode::SplitPerReplicate`] — one `Rng::split` child per
-///   replicate, fanned across the context's [`crate::exec::Runner`] cores. Results
-///   are bit-identical for any thread count (each replicate is a pure
-///   function of its child seed and the precomputed win indicators, and
-///   the executor collects by index), but the interval comes from a
-///   *different* — equally valid — randomization than the serial
-///   stream. Either way `rng` advances deterministically: `n·resamples`
-///   index draws serial, `resamples` split draws otherwise.
-pub fn try_compare_paired_with(
-    a: &[f64],
-    b: &[f64],
-    gamma: f64,
-    alpha: f64,
-    resamples: usize,
-    rng: &mut Rng,
-    ctx: &RunContext,
-) -> Result<ProbOutperformTest, CompareError> {
-    validate_comparison(a, b, gamma, alpha, resamples)?;
-    let ci = match ctx.bootstrap() {
-        BootstrapMode::Serial => percentile_ci_prob_outperform(a, b, resamples, alpha, rng),
-        BootstrapMode::SplitPerReplicate => {
-            let estimate = prob_outperform(a, b);
-            let wins = win_indicators(a, b);
-            let seeds = split_replicate_seeds(rng, resamples);
-            let stats = ctx
-                .runner()
-                .map_seeds(&seeds, |_, &s| prob_outperform_replicate(&wins, s));
-            ci_from_replicates(estimate, stats, alpha)
-        }
-    };
-    Ok(verdict(a, b, ci, gamma))
-}
-
-/// The generic paired percentile bootstrap under an execution context —
-/// [`varbench_stats::bootstrap::percentile_ci_paired`] with the same
-/// mode dispatch as [`try_compare_paired_with`]:
-///
-/// * [`BootstrapMode::Serial`] — byte-identical to
-///   `percentile_ci_paired` (one generator threaded through every
-///   replicate).
-/// * [`BootstrapMode::SplitPerReplicate`] — one child generator per
-///   replicate ([`paired_replicate`]), fanned across the context's
-///   [`crate::exec::Runner`] cores; bit-identical for any thread count,
-///   but a *different* — equally valid — randomization than the serial
-///   stream (cache keys must carry the `|var=boot-split` variant, which
-///   [`RunContext::measure_key`] stamps).
-///
-/// # Panics
-///
-/// As `percentile_ci_paired`: empty or mismatched samples, zero
-/// resamples, or `alpha` outside `(0, 1)`.
-pub fn percentile_ci_paired_with<S>(
-    a: &[f64],
-    b: &[f64],
-    stat: S,
-    resamples: usize,
-    alpha: f64,
-    rng: &mut Rng,
-    ctx: &RunContext,
-) -> ConfidenceInterval
-where
-    S: Fn(&[f64], &[f64]) -> f64 + Sync,
-{
-    match ctx.bootstrap() {
-        BootstrapMode::Serial => percentile_ci_paired(a, b, stat, resamples, alpha, rng),
-        BootstrapMode::SplitPerReplicate => {
-            assert_eq!(a.len(), b.len(), "paired bootstrap requires equal lengths");
-            assert!(!a.is_empty(), "bootstrap of empty sample");
-            assert!(resamples > 0, "resamples must be > 0");
-            let estimate = stat(a, b);
-            let n = a.len();
-            let seeds = split_replicate_seeds(rng, resamples);
-            let stats = ctx.runner().map_seeds(&seeds, |_, &s| {
-                let mut ra = vec![0.0; n];
-                let mut rb = vec![0.0; n];
-                paired_replicate(a, b, &stat, s, &mut ra, &mut rb)
-            });
-            ci_from_replicates(estimate, stats, alpha)
-        }
-    }
-}
-
-/// [`try_compare_paired_with`] for callers that treat invalid input as a
-/// bug.
-///
-/// # Panics
-///
-/// As [`compare_paired`].
-pub fn compare_paired_with(
-    a: &[f64],
-    b: &[f64],
-    gamma: f64,
-    alpha: f64,
-    resamples: usize,
-    rng: &mut Rng,
-    ctx: &RunContext,
-) -> ProbOutperformTest {
-    match try_compare_paired_with(a, b, gamma, alpha, resamples, rng, ctx) {
-        Ok(test) => test,
-        Err(CompareError::InvalidGamma(_)) => panic!("gamma must be in (0.5, 1)"),
-        Err(e) => panic!("compare_paired: {e}"),
-    }
 }
 
 fn validate_comparison(
@@ -441,122 +327,6 @@ mod tests {
     fn bonferroni_divides() {
         assert!((bonferroni_alpha(0.05, 5) - 0.01).abs() < 1e-15);
         assert_eq!(bonferroni_alpha(0.05, 1), 0.05);
-    }
-
-    #[test]
-    fn serial_ctx_compare_is_byte_identical_to_plain_compare() {
-        let mut g = Rng::seed_from_u64(60);
-        let a: Vec<f64> = (0..40).map(|_| g.normal(0.76, 0.02)).collect();
-        let b: Vec<f64> = (0..40).map(|_| g.normal(0.74, 0.02)).collect();
-        let plain = compare_paired(&a, &b, 0.75, 0.05, 800, &mut rng());
-        let via_ctx =
-            compare_paired_with(&a, &b, 0.75, 0.05, 800, &mut rng(), &RunContext::serial());
-        assert_eq!(plain, via_ctx);
-    }
-
-    #[test]
-    fn split_ctx_compare_detects_the_same_clear_winner() {
-        let a: Vec<f64> = (0..30).map(|i| 0.9 + 0.001 * (i % 3) as f64).collect();
-        let b: Vec<f64> = (0..30).map(|i| 0.7 + 0.001 * (i % 4) as f64).collect();
-        let ctx = RunContext::serial().with_bootstrap(BootstrapMode::SplitPerReplicate);
-        let t = compare_paired_with(&a, &b, 0.75, 0.05, 1000, &mut rng(), &ctx);
-        assert_eq!(t.decision, Decision::SignificantAndMeaningful);
-        assert_eq!(t.p_a_gt_b, 1.0);
-    }
-
-    #[test]
-    fn split_ctx_compare_validates_like_the_serial_path() {
-        let ctx = RunContext::serial().with_bootstrap(BootstrapMode::SplitPerReplicate);
-        let good = [0.8, 0.9];
-        assert_eq!(
-            try_compare_paired_with(&[], &[], 0.75, 0.05, 100, &mut rng(), &ctx).unwrap_err(),
-            CompareError::EmptySamples
-        );
-        assert_eq!(
-            try_compare_paired_with(&good, &good, 0.5, 0.05, 100, &mut rng(), &ctx).unwrap_err(),
-            CompareError::InvalidGamma(0.5)
-        );
-        assert_eq!(
-            try_compare_paired_with(&good, &good, 0.75, 0.05, 0, &mut rng(), &ctx).unwrap_err(),
-            CompareError::ZeroResamples
-        );
-    }
-
-    #[test]
-    fn paired_ci_with_serial_ctx_matches_plain_driver() {
-        let mut g = Rng::seed_from_u64(70);
-        let a: Vec<f64> = (0..35).map(|_| g.normal(0.8, 0.05)).collect();
-        let b: Vec<f64> = (0..35).map(|_| g.normal(0.78, 0.05)).collect();
-        let stat = |x: &[f64], y: &[f64]| {
-            x.iter().zip(y).map(|(p, q)| p - q).sum::<f64>() / x.len() as f64
-        };
-        let plain = varbench_stats::bootstrap::percentile_ci_paired(
-            &a,
-            &b,
-            stat,
-            600,
-            0.05,
-            &mut Rng::seed_from_u64(71),
-        );
-        let via_ctx = percentile_ci_paired_with(
-            &a,
-            &b,
-            stat,
-            600,
-            0.05,
-            &mut Rng::seed_from_u64(71),
-            &RunContext::serial(),
-        );
-        assert_eq!(plain, via_ctx);
-    }
-
-    #[test]
-    fn paired_ci_with_split_ctx_matches_serial_split_driver_for_any_threads() {
-        use crate::exec::Runner;
-        use varbench_pipeline::MeasureCache;
-        let mut g = Rng::seed_from_u64(72);
-        let a: Vec<f64> = (0..31).map(|_| g.normal(0.8, 0.05)).collect();
-        let b: Vec<f64> = (0..31).map(|_| g.normal(0.78, 0.05)).collect();
-        let stat = |x: &[f64], y: &[f64]| {
-            x.iter().zip(y).map(|(p, q)| p - q).sum::<f64>() / x.len() as f64
-        };
-        // Reference: the serial driver of the split stream in
-        // varbench-stats.
-        let reference = varbench_stats::bootstrap::percentile_ci_paired_split(
-            &a,
-            &b,
-            stat,
-            500,
-            0.05,
-            &mut Rng::seed_from_u64(73),
-        );
-        // One thread and all cores must both reproduce it bit for bit.
-        for runner in [Runner::serial(), Runner::new(0)] {
-            let ctx = RunContext::new(runner, MeasureCache::disabled())
-                .with_bootstrap(BootstrapMode::SplitPerReplicate);
-            let got = percentile_ci_paired_with(
-                &a,
-                &b,
-                stat,
-                500,
-                0.05,
-                &mut Rng::seed_from_u64(73),
-                &ctx,
-            );
-            assert_eq!(reference, got);
-        }
-        // And the split stream is a genuinely different randomization than
-        // the serial one (distinctness guard for the cache-key firewall).
-        let serial = varbench_stats::bootstrap::percentile_ci_paired(
-            &a,
-            &b,
-            stat,
-            500,
-            0.05,
-            &mut Rng::seed_from_u64(73),
-        );
-        assert_eq!(reference.estimate, serial.estimate);
-        assert_ne!((reference.lo, reference.hi), (serial.lo, serial.hi));
     }
 
     #[test]

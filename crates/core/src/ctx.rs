@@ -19,82 +19,20 @@
 #![deny(missing_docs)]
 
 use crate::exec::Runner;
-use varbench_pipeline::cache::{MeasureKey, MeasureKind};
-use varbench_pipeline::{MeasureCache, Workload};
+use varbench_pipeline::MeasureCache;
 
-/// Environment variable read by [`BootstrapMode::from_env`]: set to `1`
-/// (or `true`) to select the split-stream parallel bootstrap.
-pub const PAR_BOOTSTRAP_ENV: &str = "VARBENCH_PAR_BOOTSTRAP";
-
-/// How bootstrap confidence intervals consume randomness — a property of
-/// the execution environment, carried by [`RunContext`] so every
-/// comparison in a run agrees on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BootstrapMode {
-    /// The historical stream: one generator threaded sequentially
-    /// through every replicate. This is what every committed artifact
-    /// was produced with, so it is the default — and the only mode whose
-    /// bytes match them.
-    #[default]
-    Serial,
-    /// One [`varbench_rng::Rng::split`] child per replicate, split off
-    /// up front in replicate order. Replicates become independent units
-    /// the [`Runner`] fans across cores with bit-identical results for
-    /// any thread count — at the price of a *different* (equally valid)
-    /// randomization than [`BootstrapMode::Serial`]. Anything cached
-    /// downstream is quarantined under its own key variant (see
-    /// [`RunContext::measure_key`]).
-    SplitPerReplicate,
-}
-
-impl BootstrapMode {
-    /// Reads [`PAR_BOOTSTRAP_ENV`]; unset or anything other than
-    /// `1`/`true` means [`BootstrapMode::Serial`].
-    pub fn from_env() -> BootstrapMode {
-        match std::env::var(PAR_BOOTSTRAP_ENV).as_deref() {
-            Ok("1") | Ok("true") => BootstrapMode::SplitPerReplicate,
-            _ => BootstrapMode::Serial,
-        }
-    }
-
-    /// Short display label (`serial` / `split`).
-    pub fn label(self) -> &'static str {
-        match self {
-            BootstrapMode::Serial => "serial",
-            BootstrapMode::SplitPerReplicate => "split",
-        }
-    }
-
-    /// The cache-key variant tag this mode quarantines measurements
-    /// under: empty for the default serial path (existing records keep
-    /// their addresses), `boot-split` for the split-stream path.
-    pub fn cache_variant(self) -> &'static str {
-        match self {
-            BootstrapMode::Serial => "",
-            BootstrapMode::SplitPerReplicate => "boot-split",
-        }
-    }
-}
-
-/// Everything a measurement needs from its environment: an executor, a
-/// measurement cache, and the statistical execution mode (bootstrap
-/// randomization). Pure configuration stays in the per-call parameters
-/// and per-artifact `Config` types.
+/// Everything a measurement needs from its environment: an executor
+/// and a measurement cache. Pure configuration stays in the per-call
+/// parameters and per-artifact `Config` types.
 pub struct RunContext {
     runner: Runner,
     cache: MeasureCache,
-    bootstrap: BootstrapMode,
 }
 
 impl RunContext {
-    /// Bundles an executor and a cache (serial bootstrap — the default
-    /// statistical mode).
+    /// Bundles an executor and a cache.
     pub fn new(runner: Runner, cache: MeasureCache) -> RunContext {
-        RunContext {
-            runner,
-            cache,
-            bootstrap: BootstrapMode::Serial,
-        }
+        RunContext { runner, cache }
     }
 
     /// The default context: serial execution, no caching — the behaviour
@@ -110,18 +48,10 @@ impl RunContext {
     }
 
     /// The environment-driven context: thread count from
-    /// `VARBENCH_THREADS` (all cores if unset), a cache persisted under
-    /// `VARBENCH_CACHE_DIR` when that is set, and the bootstrap mode
-    /// from `VARBENCH_PAR_BOOTSTRAP`.
+    /// `VARBENCH_THREADS` (all cores if unset) and a cache persisted
+    /// under `VARBENCH_CACHE_DIR` when that is set.
     pub fn from_env() -> RunContext {
         RunContext::new(Runner::from_env(), MeasureCache::from_env())
-            .with_bootstrap(BootstrapMode::from_env())
-    }
-
-    /// Replaces the bootstrap mode (builder-style).
-    pub fn with_bootstrap(mut self, mode: BootstrapMode) -> RunContext {
-        self.bootstrap = mode;
-        self
     }
 
     /// The executor.
@@ -132,27 +62,6 @@ impl RunContext {
     /// The measurement cache.
     pub fn cache(&self) -> &MeasureCache {
         &self.cache
-    }
-
-    /// The bootstrap randomization mode.
-    pub fn bootstrap(&self) -> BootstrapMode {
-        self.bootstrap
-    }
-
-    /// Builds the cache key for a measurement performed under this
-    /// context, stamping the context's execution variant.
-    ///
-    /// Under the default serial mode this is exactly
-    /// `MeasureKey::new(...)` — same canonical form, same on-disk record
-    /// addresses. Under a non-default mode the key carries the mode's
-    /// variant tag, so records produced there live in their own key
-    /// space and can never be served into (or from) the default path.
-    /// That firewall is deliberately conservative: today's cached score
-    /// matrices do not depend on the bootstrap mode at all, but the
-    /// guarantee "a non-default statistical mode can never silently leak
-    /// bytes into the default artifacts" is worth the lost reuse.
-    pub fn measure_key(&self, w: &dyn Workload, kind: MeasureKind, base_seed: u64) -> MeasureKey {
-        MeasureKey::with_variant(w, kind, base_seed, self.bootstrap.cache_variant())
     }
 }
 
@@ -172,31 +81,7 @@ mod tests {
         let ctx = RunContext::default();
         assert_eq!(ctx.runner().threads(), 1);
         assert!(ctx.cache().is_disabled());
-        assert_eq!(ctx.bootstrap(), BootstrapMode::Serial);
         let cached = RunContext::serial_cached();
         assert!(!cached.cache().is_disabled());
-    }
-
-    #[test]
-    fn measure_key_stamps_the_bootstrap_variant() {
-        use varbench_pipeline::cache::{MeasureKey, MeasureKind};
-        use varbench_pipeline::{CaseStudy, Scale, VarianceSource};
-
-        let cs = CaseStudy::mhc_mlp(Scale::Test);
-        let kind = || MeasureKind::SourceStudy {
-            source: VarianceSource::DataSplit,
-        };
-        let serial = RunContext::serial();
-        let split = RunContext::serial().with_bootstrap(BootstrapMode::SplitPerReplicate);
-        // Serial-mode keys are the plain keys — byte-identical canon, so
-        // every existing record keeps its address.
-        assert_eq!(
-            serial.measure_key(&cs, kind(), 3).canon(),
-            MeasureKey::new(&cs, kind(), 3).canon()
-        );
-        // Split-mode keys live in their own space.
-        let sk = split.measure_key(&cs, kind(), 3);
-        assert_ne!(sk.canon(), MeasureKey::new(&cs, kind(), 3).canon());
-        assert!(sk.canon().ends_with("|var=boot-split"));
     }
 }

@@ -11,7 +11,8 @@
 
 use crate::ctx::RunContext;
 use varbench_pipeline::{
-    hopt, run_pipeline, HpoAlgorithm, MeasureKind, SeedAssignment, VarianceSource, Workload,
+    hopt, run_pipeline, HpoAlgorithm, MeasureKey, MeasureKind, SeedAssignment, VarianceSource,
+    Workload,
 };
 
 /// Which subset of ξ_O a [`fix_hopt_estimator`] run randomizes between
@@ -100,7 +101,7 @@ pub fn ideal_estimator(
     ctx: &RunContext,
 ) -> EstimatorRun {
     assert!(k > 0, "k must be > 0");
-    let key = ctx.measure_key(
+    let key = MeasureKey::new(
         w,
         MeasureKind::IdealEstimator {
             algo: algo.display_name(),
@@ -160,7 +161,7 @@ pub fn fix_hopt_estimator(
     assert!(k > 0, "k must be > 0");
     let fixed = SeedAssignment::all_random(base_seed ^ 0xF1F0, repetition);
     let (best_params, hopt_fits) = hopt_record(w, &fixed, algo, budget, ctx);
-    let key = ctx.measure_key(
+    let key = MeasureKey::new(
         w,
         MeasureKind::FixHOptMeasures {
             algo: algo.display_name(),
@@ -205,7 +206,7 @@ pub fn hopt_record(
     // 8th source fails to compile here instead of silently truncating
     // the key (which would alias distinct seed assignments).
     let seeds: [u64; 7] = VarianceSource::ALL.map(|source| fixed.seed_of(source));
-    let key = ctx.measure_key(
+    let key = MeasureKey::new(
         w,
         MeasureKind::HoptResult {
             algo: algo.display_name(),
@@ -265,7 +266,7 @@ pub fn source_variance_study(
     } else {
         MeasureKind::SourceStudy { source }
     };
-    let key = ctx.measure_key(w, kind, base_seed);
+    let key = MeasureKey::new(w, kind, base_seed);
     let fixed = SeedAssignment::all_fixed(base_seed);
     let params = w.default_params().to_vec();
     ctx.cache().matrix(&key, n, 1, |range| {
@@ -313,7 +314,7 @@ pub fn joint_variance_study(
         sources.iter().all(|s| !s.is_hyperopt()),
         "joint study covers xi_O sources; HyperOpt requires budget accounting"
     );
-    let key = ctx.measure_key(
+    let key = MeasureKey::new(
         w,
         MeasureKind::JointStudy {
             sources: sources.to_vec(),

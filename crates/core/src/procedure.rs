@@ -8,7 +8,7 @@
 //! 3. **estimate** `P(A > B)` (C.4) with a percentile-bootstrap CI (C.5);
 //! 4. **decide** with the three-zone criterion (C.6).
 
-use crate::compare::{compare_paired_with, Decision, ProbOutperformTest};
+use crate::compare::{compare_paired, Decision, ProbOutperformTest};
 use crate::ctx::RunContext;
 use crate::sample_size::{
     noether_sample_size, RECOMMENDED_ALPHA, RECOMMENDED_BETA, RECOMMENDED_GAMMA,
@@ -133,10 +133,7 @@ impl<'a> ComparisonProcedure<'a> {
     /// [`ComparisonProcedure::run`] under an execution context: the
     /// `sample_size` paired trainings fan out across the context's cores
     /// (each pair is its own seed branch, so results are bit-identical
-    /// to the serial loop for any thread count), and the bootstrap
-    /// follows the context's [`crate::ctx::BootstrapMode`] — under the
-    /// split mode the resample loop parallelizes too, the procedure's
-    /// other multi-core axis.
+    /// to the serial loop for any thread count).
     ///
     /// # Panics
     ///
@@ -160,15 +157,7 @@ impl<'a> ComparisonProcedure<'a> {
         });
         let (a, b): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
         let mut rng = Rng::seed_from_u64(self.seed ^ 0xB007);
-        let test = compare_paired_with(
-            &a,
-            &b,
-            self.gamma,
-            self.alpha,
-            self.resamples,
-            &mut rng,
-            ctx,
-        );
+        let test = compare_paired(&a, &b, self.gamma, self.alpha, self.resamples, &mut rng);
         ProcedureReport {
             task: self.workload.name().to_string(),
             metric: self.workload.metric_name().to_string(),

@@ -4,7 +4,7 @@
 //! rates as the true `P(A > B)` sweeps from "no difference" to "large
 //! difference" (Figs. 6 and I.6).
 
-use crate::compare::{average_comparison, compare_paired_with, single_point_comparison};
+use crate::compare::{average_comparison, compare_paired, single_point_comparison};
 use crate::ctx::RunContext;
 use varbench_rng::{Rng, SeedTree};
 use varbench_stats::standard_normal_quantile;
@@ -142,29 +142,15 @@ struct SimOutcome {
 }
 
 /// Runs one simulated comparison from its own RNG branch.
-///
-/// `unit_ctx` must be a *serial* context: this function already runs
-/// inside one executor unit, so its bootstraps must not spawn a nested
-/// worker scope — the context exists to carry the bootstrap mode.
 fn simulate_one(
     task: &SimulatedTask,
     config: &DetectionConfig,
     mu_a: f64,
     mu_b: f64,
     rng: &mut Rng,
-    unit_ctx: &RunContext,
 ) -> SimOutcome {
     let cmp = |a: &[f64], b: &[f64], rng: &mut Rng| {
-        compare_paired_with(
-            a,
-            b,
-            config.gamma,
-            config.alpha,
-            config.resamples,
-            rng,
-            unit_ctx,
-        )
-        .is_improvement()
+        compare_paired(a, b, config.gamma, config.alpha, config.resamples, rng).is_improvement()
     };
     // Ideal measures.
     let a = simulate_measures(task, SimEstimator::Ideal, mu_a, config.k, rng);
@@ -208,8 +194,7 @@ pub fn detection_study(
 /// [`detection_study`] under an execution context: the
 /// `p_values × n_simulations` grid fans out across the context's cores,
 /// one unit per simulated comparison, with bit-identical results for any
-/// thread count; the bootstraps inside each unit follow the context's
-/// [`crate::ctx::BootstrapMode`] (each unit runs them serially on its own
+/// thread count (each unit runs its bootstraps serially on its own
 /// thread — the grid is already the parallel axis).
 ///
 /// # Panics
@@ -226,7 +211,6 @@ pub fn detection_study_with(
     assert!(config.k >= 2, "k must be >= 2");
     assert!(config.n_simulations > 0, "need simulations");
     let tree = SeedTree::new(seed);
-    let bootstrap = ctx.bootstrap();
     let units: Vec<(usize, usize)> = (0..p_values.len())
         .flat_map(|pi| (0..config.n_simulations).map(move |si| (pi, si)))
         .collect();
@@ -237,8 +221,7 @@ pub fn detection_study_with(
         let mut rng = tree
             .subtree_indexed("point", pi as u64)
             .rng_indexed("sim", si as u64);
-        let unit_ctx = RunContext::serial().with_bootstrap(bootstrap);
-        simulate_one(task, config, mu_a, mu_b, &mut rng, &unit_ctx)
+        simulate_one(task, config, mu_a, mu_b, &mut rng)
     });
     let n = config.n_simulations as f64;
     p_values
@@ -393,35 +376,6 @@ mod tests {
             let par = detection_study_with(&task(), &[0.6, 0.8], &config(), 6, &ctx);
             assert_eq!(serial, par, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn split_bootstrap_study_thread_count_invariant_but_new_stream() {
-        use crate::ctx::BootstrapMode;
-        use crate::exec::Runner;
-        use varbench_pipeline::MeasureCache;
-
-        let split_serial = detection_study_with(
-            &task(),
-            &[0.7],
-            &config(),
-            7,
-            &RunContext::serial().with_bootstrap(BootstrapMode::SplitPerReplicate),
-        );
-        let split_par = detection_study_with(
-            &task(),
-            &[0.7],
-            &config(),
-            7,
-            &RunContext::new(Runner::new(4), MeasureCache::disabled())
-                .with_bootstrap(BootstrapMode::SplitPerReplicate),
-        );
-        assert_eq!(split_serial, split_par, "split mode must be 1-vs-N stable");
-        // The split stream is a different randomization than the serial
-        // stream — detection rates are estimates of the same quantities
-        // but need not match bitwise (documented, not a bug).
-        let serial = detection_study(&task(), &[0.7], &config(), 7);
-        assert_eq!(split_serial.len(), serial.len());
     }
 
     #[test]

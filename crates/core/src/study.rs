@@ -86,7 +86,8 @@ impl PlannedMeasurement {
     }
 
     /// The [`MeasureKind`] the execution addresses its cache entry with —
-    /// what a dispatch driver combines with [`RunContext::measure_key`]
+    /// what a dispatch driver combines with
+    /// [`MeasureKey::new`](varbench_pipeline::MeasureKey::new)
     /// and [`PlannedMeasurement::base_seed`] to watch for the published
     /// record.
     pub fn measure_kind(&self) -> MeasureKind {
@@ -383,7 +384,7 @@ impl<'w> Study<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use varbench_pipeline::{CaseStudy, LinearWorkload, Scale, SyntheticWorkload};
+    use varbench_pipeline::{CaseStudy, LinearWorkload, MeasureKey, Scale, SyntheticWorkload};
 
     #[test]
     fn study_profiles_a_case_study() {
@@ -483,7 +484,7 @@ mod tests {
             let measures = pm.execute(&cs, &warm);
             assert_eq!(measures.len(), 3);
             // The advertised key addresses the record just published.
-            let key = warm.measure_key(&cs, pm.measure_kind(), pm.base_seed);
+            let key = MeasureKey::new(&cs, pm.measure_kind(), pm.base_seed);
             assert_eq!(warm.cache().probe_rows(&key), 3, "{}", pm.label());
         }
         let computed = warm.cache().stats().rows_computed;

@@ -1,7 +1,7 @@
 //! # varbench-lint — the workspace's tidy-style invariant checker
 //!
 //! The bit-identity guarantees this repo ships — seed-ordered results at
-//! any thread count, the cache-key variant firewall, the zero-alloc
+//! any thread count, the cache-key firewall, the zero-alloc
 //! epoch loop — were conventions enforced by review. This crate makes
 //! them machine-checked, the way `rust-lang/rust`'s `tidy` pass guards
 //! that repo's conventions: a hand-rolled Rust lexer ([`lexer`]), a
@@ -15,7 +15,7 @@
 //! | L001 | map-iter-order | no `HashMap`/`HashSet` in library code |
 //! | L002 | no-wallclock | `Instant`/`SystemTime` only in the timing module |
 //! | L003 | unsafe-hygiene | `SAFETY:` comments + `#![forbid(unsafe_code)]` roots |
-//! | L004 | cache-key-firewall | variant tags only via registered sites |
+//! | L004 | cache-key-firewall | key segments formatted only in `cache.rs` |
 //! | L005 | no-alloc-region | marked hot fns never allocate |
 //! | L006 | no-fma-contraction | `mul_add` only in golden-tested kernels |
 //!

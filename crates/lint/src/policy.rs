@@ -1,6 +1,6 @@
 //! Repo policy: which paths each lint applies to, and the explicit
 //! allowlists. This is the one file to edit when registering a new
-//! timing module, kernel file or cache-key call site.
+//! timing module or kernel file.
 //!
 //! Paths are repo-relative and `/`-separated (e.g.
 //! `crates/pipeline/src/cache.rs`).
@@ -14,17 +14,6 @@ pub const WALLCLOCK_FILES: &[&str] = &["crates/bench/src/timing.rs"];
 /// (L003), each entry carrying its justification. Currently empty: every
 /// crate root in the workspace forbids unsafe code.
 pub const UNSAFE_ROOT_ALLOWLIST: &[(&str, &str)] = &[];
-
-/// The registered `MeasureKey::with_variant` call sites (L004). Variant
-/// tags quarantine non-default statistical modes in their own cache-key
-/// space; every site minting one must be listed here so a review of the
-/// cache-key firewall reads one table instead of grepping the tree.
-pub const VARIANT_CALL_SITES: &[&str] = &[
-    // The constructor itself plus the canonical-form renderer.
-    "crates/pipeline/src/cache.rs",
-    // RunContext::measure_key — stamps the bootstrap-mode variant.
-    "crates/core/src/ctx.rs",
-];
 
 /// The only file allowed to format cache-key segments (L004): the
 /// canonical serialized form lives in `canonical()` and nowhere else.

@@ -42,8 +42,8 @@ pub const CATALOGUE: &[LintInfo] = &[
     LintInfo {
         id: "L004",
         name: "cache-key-firewall",
-        summary: "cache-key variants only via registered MeasureKey::with_variant \
-                  sites; no ad-hoc key formatting outside cache.rs",
+        summary: "no ad-hoc cache-key formatting outside cache.rs: key segments \
+                  are rendered only by MeasureKey's canonical form",
     },
     LintInfo {
         id: "L005",
@@ -196,50 +196,33 @@ fn has_forbid_unsafe(file: &SourceFile<'_>) -> bool {
     })
 }
 
-/// L004: the cache-key firewall. Variant tags decide whether two
-/// measurements may share a cached record; minting them anywhere except
-/// the registered table (and formatting key segments anywhere except
-/// `canonical()`) would let records alias across statistical modes.
+/// L004: the cache-key firewall. The canonical key form decides whether
+/// two measurements may share a cached record; formatting key segments
+/// anywhere except `canonical()` would let records alias or fork the
+/// key space.
 fn cache_key_firewall(file: &SourceFile<'_>, out: &mut Vec<Diagnostic>) {
-    if !policy::is_lib_source(file.rel_path) {
+    if !policy::is_lib_source(file.rel_path) || file.rel_path == policy::KEY_FORMAT_HOME {
         return;
     }
-    if !policy::VARIANT_CALL_SITES.contains(&file.rel_path) {
-        for (_, t) in lib_idents(file) {
-            if t.text(file.src) == "with_variant" {
-                out.push(diag(
-                    file,
-                    t,
-                    "L004",
-                    "MeasureKey::with_variant outside the registered call-site table \
-                     (policy::VARIANT_CALL_SITES): variant tags must be reviewable \
-                     in one place"
-                        .to_string(),
-                ));
-            }
+    for t in &file.tokens {
+        if !matches!(t.kind, TokenKind::Str | TokenKind::RawStr) || file.in_test_code(t.start) {
+            continue;
         }
-    }
-    if file.rel_path != policy::KEY_FORMAT_HOME {
-        for t in &file.tokens {
-            if !matches!(t.kind, TokenKind::Str | TokenKind::RawStr) || file.in_test_code(t.start) {
-                continue;
-            }
-            let text = t.text(file.src);
-            if let Some(m) = policy::KEY_FORMAT_MARKERS
-                .iter()
-                .find(|m| text.contains(**m))
-            {
-                out.push(diag(
-                    file,
-                    t,
-                    "L004",
-                    format!(
-                        "ad-hoc cache-key formatting (literal contains \"{m}\"): key \
-                         segments are rendered only by canonical() in {}",
-                        policy::KEY_FORMAT_HOME
-                    ),
-                ));
-            }
+        let text = t.text(file.src);
+        if let Some(m) = policy::KEY_FORMAT_MARKERS
+            .iter()
+            .find(|m| text.contains(**m))
+        {
+            out.push(diag(
+                file,
+                t,
+                "L004",
+                format!(
+                    "ad-hoc cache-key formatting (literal contains \"{m}\"): key \
+                     segments are rendered only by canonical() in {}",
+                    policy::KEY_FORMAT_HOME
+                ),
+            ));
         }
     }
 }

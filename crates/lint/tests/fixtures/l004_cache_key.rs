@@ -1,16 +1,16 @@
-// L004 fixture: cache-key firewall breaches from an unregistered file.
-
-fn minted_elsewhere(w: &dyn Workload) -> MeasureKey {
-    MeasureKey::with_variant(w, kind(), 7, "rogue-mode") // fire: line 4
-}
+// L004 fixture: cache-key formatting outside cache.rs.
 
 fn ad_hoc_format(seed: u64) -> String {
-    format!("v2|w=rogue|var=boot-split|seed={seed:016x}") // fire: line 8
+    format!("v2|w=rogue|seed={seed:016x}") // fire: line 4
 }
 
-fn waived(w: &dyn Workload) -> MeasureKey {
+fn ad_hoc_fingerprint(fp: u64) -> String {
+    format!("|fp={fp:016x}") // fire: line 8
+}
+
+fn waived(seed: u64) -> String {
     // lint:allow(L004): fixture demonstrating the suppression path
-    MeasureKey::with_variant(w, kind(), 7, "waived-mode") // suppressed
+    format!("v2|w=waived|seed={seed:016x}") // suppressed
 }
 
 fn unrelated_pipe_string() -> &'static str {
@@ -20,6 +20,6 @@ fn unrelated_pipe_string() -> &'static str {
 #[cfg(test)]
 mod tests {
     fn asserts_on_canon() {
-        assert!(canon.ends_with("|var=boot-split")); // clean: test code
+        assert!(canon.ends_with("|seed=0000000000000007")); // clean: test code
     }
 }

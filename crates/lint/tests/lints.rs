@@ -77,10 +77,7 @@ fn l004_fires_and_allows() {
 
 #[test]
 fn l004_registered_sites_are_exempt() {
-    let diags = check_fixture("l004_cache_key.rs", "crates/core/src/ctx.rs");
-    // ctx.rs is a registered with_variant site but NOT the key-format
-    // home, so the ad-hoc format string still fires.
-    assert_eq!(diags, vec![(8, "L004")]);
+    // The key-format home is the one file allowed to render key segments.
     let diags = check_fixture("l004_cache_key.rs", "crates/pipeline/src/cache.rs");
     assert_eq!(diags, vec![]);
 }

@@ -152,7 +152,6 @@ pub struct MeasureKey {
     fingerprint: u64,
     kind: MeasureKind,
     base_seed: u64,
-    variant: &'static str,
     canon: String,
 }
 
@@ -169,25 +168,6 @@ impl MeasureKey {
     /// `{active}` joint studies produce bit-identical matrices and must
     /// share one entry.
     pub fn new(workload: &dyn Workload, kind: MeasureKind, base_seed: u64) -> MeasureKey {
-        MeasureKey::with_variant(workload, kind, base_seed, "")
-    }
-
-    /// [`MeasureKey::new`] with an execution-variant tag.
-    ///
-    /// The empty variant is the default path and produces byte-for-byte
-    /// the canonical form [`MeasureKey::new`] always produced, so
-    /// existing records (in memory and on disk) keep addressing. A
-    /// non-empty variant adds a `|var=<tag>` segment, quarantining
-    /// everything measured under a non-default statistical mode (e.g.
-    /// the split-stream bootstrap) in its own key space: a variant
-    /// record can never alias — or be served in place of — a default
-    /// record, even if a future mode changes measured bytes.
-    pub fn with_variant(
-        workload: &dyn Workload,
-        kind: MeasureKind,
-        base_seed: u64,
-        variant: &'static str,
-    ) -> MeasureKey {
         let kind = match kind {
             MeasureKind::JointStudy { sources } => {
                 let mut s: Vec<VarianceSource> = sources
@@ -202,13 +182,12 @@ impl MeasureKey {
         };
         let id = workload.cache_id();
         let fingerprint = workload.fingerprint();
-        let canon = canonical(&id, fingerprint, &kind, base_seed, variant);
+        let canon = canonical(&id, fingerprint, &kind, base_seed);
         MeasureKey {
             workload: id,
             fingerprint,
             kind,
             base_seed,
-            variant,
             canon,
         }
     }
@@ -220,13 +199,7 @@ impl MeasureKey {
     }
 }
 
-fn canonical(
-    workload_id: &str,
-    fingerprint: u64,
-    kind: &MeasureKind,
-    base_seed: u64,
-    variant: &str,
-) -> String {
+fn canonical(workload_id: &str, fingerprint: u64, kind: &MeasureKind, base_seed: u64) -> String {
     let kind_s = match kind {
         MeasureKind::SourceStudy { source } => format!("source:{}", source.label()),
         MeasureKind::JointStudy { sources } => {
@@ -250,13 +223,8 @@ fn canonical(
             format!("hopt-result:{algo}:T{budget}:{}", hex.join("."))
         }
     };
-    let var_s = if variant.is_empty() {
-        String::new()
-    } else {
-        format!("|var={variant}")
-    };
     format!(
-        "v{CACHE_FORMAT_VERSION}|w={workload_id}|fp={fingerprint:016x}|{kind_s}|seed={base_seed:016x}{var_s}"
+        "v{CACHE_FORMAT_VERSION}|w={workload_id}|fp={fingerprint:016x}|{kind_s}|seed={base_seed:016x}"
     )
 }
 
@@ -1191,33 +1159,6 @@ mod tests {
         let a = cache.matrix(&k1, 3, 1, |r| r.map(|i| i as f64).collect());
         let b = cache.matrix(&k3, 3, 1, |r| r.map(|i| i as f64 + 100.0).collect());
         assert_ne!(a, b, "same-name workloads must compute independently");
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn variant_keys_never_alias_the_default_path() {
-        let cs = test_cs();
-        let kind = || MeasureKind::SourceStudy {
-            source: VarianceSource::DataSplit,
-        };
-        let plain = MeasureKey::new(&cs, kind(), 7);
-        let empty_variant = MeasureKey::with_variant(&cs, kind(), 7, "");
-        let split = MeasureKey::with_variant(&cs, kind(), 7, "boot-split");
-        // The empty variant IS the default path — canonical form (and
-        // therefore on-disk record addresses) byte-identical.
-        assert_eq!(plain.canon(), empty_variant.canon());
-        assert!(!plain.canon().contains("|var="));
-        // A non-empty variant is quarantined in its own key space.
-        assert_ne!(plain.canon(), split.canon());
-        assert!(split.canon().ends_with("|var=boot-split"));
-
-        // End to end: the variant entry computes independently and the
-        // default entry is never served for it (or vice versa).
-        let cache = MeasureCache::new();
-        let a = cache.matrix(&plain, 3, 1, |r| r.map(|i| i as f64).collect());
-        let b = cache.matrix(&split, 3, 1, |r| r.map(|i| i as f64 + 500.0).collect());
-        assert_ne!(a, b);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 2);
     }

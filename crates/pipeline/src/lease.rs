@@ -16,7 +16,7 @@
 //! `<stem>` is the FNV-1a hash of the job id (for study units the job id
 //! IS the measurement's canonical cache key), so a job and its lease
 //! share a filename stem, and neither ever appears inside a cache key —
-//! the serial key canon is untouched by construction (the L004
+//! the key canon is untouched by construction (the L004
 //! firewall).
 //!
 //! # Protocol

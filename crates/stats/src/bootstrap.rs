@@ -181,11 +181,7 @@ pub fn percentile_ci_prob_outperform(
     assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
     let estimate = prob_outperform(a, b);
     let n = a.len();
-    // The indicator construction and the sort/quantile tail are shared
-    // with the split-stream driver, so the two paths can never drift on
-    // tie semantics or interval assembly; only the replicate loop (which
-    // must thread the caller's single RNG) stays inline.
-    let wins = win_indicators(a, b);
+    let wins: Vec<u32> = a.iter().zip(b).map(|(x, y)| u32::from(x > y)).collect();
     let mut stats = Vec::with_capacity(resamples);
     for _ in 0..resamples {
         let mut count = 0u32;
@@ -194,74 +190,8 @@ pub fn percentile_ci_prob_outperform(
         }
         stats.push(count as f64 / n as f64);
     }
-    ci_from_replicates(estimate, stats, alpha)
-}
-
-// ----------------------------------------------------------------------
-// Split-stream bootstrap (parallelizable replicates)
-// ----------------------------------------------------------------------
-//
-// The serial drivers above thread ONE generator through every replicate,
-// which makes the resample loop RNG-sequential: replicate r+1 cannot
-// start until replicate r has consumed its draws. The `*_split` variants
-// below instead charge each replicate to its own child generator — one
-// [`Rng::split`] child per resample, split off up front in replicate
-// order — so the replicates become pure functions of `(inputs, child
-// seed)` and can be fanned across cores with bit-identical results for
-// any thread count (the executor in `varbench-core` does exactly that).
-//
-// The split stream is a DIFFERENT randomization than the serial stream:
-// the intervals it produces are equally valid draws from the same
-// bootstrap distribution, but not the same bytes. Callers that memoize
-// downstream results must therefore key the two code paths separately —
-// see `RunContext::measure_key` in `varbench-core`.
-
-/// Draws one [`Rng::split`] child seed per replicate, in replicate order.
-///
-/// Consumes exactly `resamples` draws from `rng`; seeding
-/// `Rng::seed_from_u64` with element `r` reproduces the generator
-/// `rng.split()` would have returned as the `r`-th child.
-pub fn split_replicate_seeds(rng: &mut Rng, resamples: usize) -> Vec<u64> {
-    (0..resamples).map(|_| rng.next_u64()).collect()
-}
-
-/// The win indicators of the paired `P(A > B)` statistic: `1` where
-/// `a_i > b_i` (ties are not wins). Computed once; every bootstrap
-/// replicate then reduces to an integer count over resampled indices.
-///
-/// # Panics
-///
-/// Panics if samples are empty or lengths differ.
-pub fn win_indicators(a: &[f64], b: &[f64]) -> Vec<u32> {
-    assert_eq!(a.len(), b.len(), "paired bootstrap requires equal lengths");
-    assert!(!a.is_empty(), "bootstrap of empty sample");
-    a.iter().zip(b).map(|(x, y)| u32::from(x > y)).collect()
-}
-
-/// One split-stream replicate of the `P(A > B)` bootstrap: seeds a child
-/// generator and counts wins over `wins.len()` resampled indices. A pure
-/// function of `(wins, seed)` — the unit the parallel driver fans out.
-pub fn prob_outperform_replicate(wins: &[u32], seed: u64) -> f64 {
-    let mut rng = Rng::seed_from_u64(seed);
-    let n = wins.len();
-    let mut count = 0u32;
-    for _ in 0..n {
-        count += wins[rng.range_usize(n)];
-    }
-    count as f64 / n as f64
-}
-
-/// Assembles a [`ConfidenceInterval`] from replicate statistics: sort,
-/// take the `alpha/2` and `1 − alpha/2` percentiles. Shared tail of
-/// every bootstrap driver.
-///
-/// # Panics
-///
-/// Panics if `stats` is empty, a statistic is NaN, or `alpha` outside
-/// `(0, 1)`.
-pub fn ci_from_replicates(estimate: f64, mut stats: Vec<f64>, alpha: f64) -> ConfidenceInterval {
-    assert!(!stats.is_empty(), "resamples must be > 0");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+    // Win fractions are finite and never negative zero, so an unstable
+    // sort cannot perturb the quantiles.
     stats.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN bootstrap statistic"));
     ConfidenceInterval {
         estimate,
@@ -269,139 +199,6 @@ pub fn ci_from_replicates(estimate: f64, mut stats: Vec<f64>, alpha: f64) -> Con
         hi: quantile_sorted(&stats, 1.0 - alpha / 2.0),
         confidence: 1.0 - alpha,
     }
-}
-
-/// Split-stream percentile bootstrap for `P(A > B)` — the serial driver
-/// of the parallelizable path: same replicate kernel, computed on the
-/// calling thread. The parallel fan-out in `varbench-core` is
-/// bit-identical to this function for any thread count.
-///
-/// # Panics
-///
-/// As [`percentile_ci_prob_outperform`].
-pub fn percentile_ci_prob_outperform_split(
-    a: &[f64],
-    b: &[f64],
-    resamples: usize,
-    alpha: f64,
-    rng: &mut Rng,
-) -> ConfidenceInterval {
-    assert!(resamples > 0, "resamples must be > 0");
-    let estimate = prob_outperform(a, b);
-    let wins = win_indicators(a, b);
-    let seeds = split_replicate_seeds(rng, resamples);
-    let stats: Vec<f64> = seeds
-        .iter()
-        .map(|&s| prob_outperform_replicate(&wins, s))
-        .collect();
-    ci_from_replicates(estimate, stats, alpha)
-}
-
-/// One split-stream replicate of the generic *paired* bootstrap: seeds a
-/// child generator, resamples the pairs `(a_j, b_j)` into the caller's
-/// `ra`/`rb` buffers, and evaluates `stat` on the resample. A pure
-/// function of `(a, b, stat, seed)` — the unit the parallel driver in
-/// `varbench-core` fans out. The resampling loop is verbatim the body of
-/// [`percentile_ci_paired`]'s replicate loop, just drawing from the child
-/// stream.
-///
-/// # Panics
-///
-/// Panics if `ra`/`rb` lengths differ from `a`/`b` or the samples are
-/// empty.
-// lint: no-alloc
-pub fn paired_replicate(
-    a: &[f64],
-    b: &[f64],
-    stat: impl Fn(&[f64], &[f64]) -> f64,
-    seed: u64,
-    ra: &mut [f64],
-    rb: &mut [f64],
-) -> f64 {
-    let n = a.len();
-    assert!(n > 0, "bootstrap of empty sample");
-    assert!(
-        b.len() == n && ra.len() == n && rb.len() == n,
-        "paired bootstrap requires equal lengths"
-    );
-    let mut rng = Rng::seed_from_u64(seed);
-    for i in 0..n {
-        let j = rng.range_usize(n);
-        ra[i] = a[j];
-        rb[i] = b[j];
-    }
-    stat(ra, rb)
-}
-
-/// Split-stream percentile bootstrap for an arbitrary statistic of
-/// *paired* samples — the `*_split` analog of [`percentile_ci_paired`],
-/// serial driver of the parallelizable path. Each replicate resamples the
-/// pairs under its own child generator ([`paired_replicate`]), so
-/// replicates are pure `(inputs, seed)` units; the parallel fan-out in
-/// `varbench-core` is bit-identical to this function for any thread
-/// count. Like every `*_split` driver this is a *different* randomization
-/// than the serial [`percentile_ci_paired`] stream (same estimate,
-/// equally valid bounds — callers must key caches accordingly).
-///
-/// # Panics
-///
-/// As [`percentile_ci_paired`].
-pub fn percentile_ci_paired_split(
-    a: &[f64],
-    b: &[f64],
-    stat: impl Fn(&[f64], &[f64]) -> f64,
-    resamples: usize,
-    alpha: f64,
-    rng: &mut Rng,
-) -> ConfidenceInterval {
-    assert_eq!(a.len(), b.len(), "paired bootstrap requires equal lengths");
-    assert!(!a.is_empty(), "bootstrap of empty sample");
-    assert!(resamples > 0, "resamples must be > 0");
-    let estimate = stat(a, b);
-    let n = a.len();
-    let seeds = split_replicate_seeds(rng, resamples);
-    let mut ra = vec![0.0; n];
-    let mut rb = vec![0.0; n];
-    let stats: Vec<f64> = seeds
-        .iter()
-        .map(|&s| paired_replicate(a, b, &stat, s, &mut ra, &mut rb))
-        .collect();
-    ci_from_replicates(estimate, stats, alpha)
-}
-
-/// Split-stream percentile bootstrap for an arbitrary statistic of a
-/// single sample: the `*_split` analog of [`percentile_ci`]. Each
-/// replicate resamples under its own child generator, so replicates are
-/// independent units (parallelizable; different — equally valid — draws
-/// than the serial driver).
-///
-/// # Panics
-///
-/// As [`percentile_ci`].
-pub fn percentile_ci_split(
-    data: &[f64],
-    stat: impl Fn(&[f64]) -> f64,
-    resamples: usize,
-    alpha: f64,
-    rng: &mut Rng,
-) -> ConfidenceInterval {
-    assert!(!data.is_empty(), "bootstrap of empty sample");
-    assert!(resamples > 0, "resamples must be > 0");
-    let estimate = stat(data);
-    let n = data.len();
-    let seeds = split_replicate_seeds(rng, resamples);
-    let mut buf = vec![0.0; n];
-    let stats: Vec<f64> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut child = Rng::seed_from_u64(seed);
-            for slot in buf.iter_mut() {
-                *slot = data[child.range_usize(n)];
-            }
-            stat(&buf)
-        })
-        .collect();
-    ci_from_replicates(estimate, stats, alpha)
 }
 
 #[cfg(test)]
@@ -500,128 +297,6 @@ mod tests {
         assert_eq!(fast, generic);
         // Both must leave the RNG in the same state.
         assert_eq!(r1.next_u64(), r2.next_u64());
-    }
-
-    #[test]
-    fn split_seeds_match_rng_split_children() {
-        // Element r of the seed vector reproduces the generator that the
-        // r-th `Rng::split` call would have produced.
-        let mut a = Rng::seed_from_u64(50);
-        let mut b = a.clone();
-        let seeds = split_replicate_seeds(&mut a, 4);
-        for (r, &s) in seeds.iter().enumerate() {
-            let mut from_seed = Rng::seed_from_u64(s);
-            let mut from_split = b.split();
-            assert_eq!(from_seed.next_u64(), from_split.next_u64(), "child {r}");
-        }
-        // Both parents consumed the same four draws.
-        assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn split_ci_brackets_estimate_and_covers_null() {
-        let mut gen = Rng::seed_from_u64(51);
-        let a: Vec<f64> = (0..40).map(|_| gen.normal(0.0, 1.0)).collect();
-        let b: Vec<f64> = (0..40).map(|_| gen.normal(0.0, 1.0)).collect();
-        let mut rng = Rng::seed_from_u64(52);
-        let ci = percentile_ci_prob_outperform_split(&a, &b, 2000, 0.05, &mut rng);
-        assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi, "{ci}");
-        assert!(ci.contains(0.5), "null CI must cover 0.5: {ci}");
-        assert_eq!(ci.estimate, prob_outperform(&a, &b));
-    }
-
-    #[test]
-    fn split_ci_is_deterministic_and_differs_from_serial() {
-        let a: Vec<f64> = (0..30).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.9).cos()).collect();
-        let split1 =
-            percentile_ci_prob_outperform_split(&a, &b, 500, 0.05, &mut Rng::seed_from_u64(53));
-        let split2 =
-            percentile_ci_prob_outperform_split(&a, &b, 500, 0.05, &mut Rng::seed_from_u64(53));
-        assert_eq!(split1, split2, "split driver must be deterministic");
-        let serial = percentile_ci_prob_outperform(&a, &b, 500, 0.05, &mut Rng::seed_from_u64(53));
-        // Same point estimate; the interval bounds come from a different
-        // (equally valid) randomization and will not match bitwise.
-        assert_eq!(split1.estimate, serial.estimate);
-        assert_ne!((split1.lo, split1.hi), (serial.lo, serial.hi));
-    }
-
-    #[test]
-    fn split_driver_consumes_exactly_one_draw_per_replicate() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [0.5, 2.5, 1.0];
-        let mut used = Rng::seed_from_u64(54);
-        let mut reference = used.clone();
-        percentile_ci_prob_outperform_split(&a, &b, 37, 0.1, &mut used);
-        for _ in 0..37 {
-            reference.next_u64();
-        }
-        assert_eq!(used.next_u64(), reference.next_u64());
-    }
-
-    #[test]
-    fn paired_split_ci_deterministic_and_differs_from_serial() {
-        let a: Vec<f64> = (0..25).map(|i| (i as f64 * 0.3).sin()).collect();
-        let b: Vec<f64> = (0..25).map(|i| (i as f64 * 0.5).cos()).collect();
-        let stat = |x: &[f64], y: &[f64]| {
-            x.iter().zip(y).map(|(p, q)| p - q).sum::<f64>() / x.len() as f64
-        };
-        let split1 =
-            percentile_ci_paired_split(&a, &b, stat, 400, 0.05, &mut Rng::seed_from_u64(60));
-        let split2 =
-            percentile_ci_paired_split(&a, &b, stat, 400, 0.05, &mut Rng::seed_from_u64(60));
-        assert_eq!(split1, split2, "split driver must be deterministic");
-        assert!(split1.lo <= split1.estimate && split1.estimate <= split1.hi);
-        let serial = percentile_ci_paired(&a, &b, stat, 400, 0.05, &mut Rng::seed_from_u64(60));
-        // Same point estimate; the bounds come from a different (equally
-        // valid) randomization and will not match bitwise.
-        assert_eq!(split1.estimate, serial.estimate);
-        assert_ne!((split1.lo, split1.hi), (serial.lo, serial.hi));
-    }
-
-    #[test]
-    fn paired_split_driver_consumes_exactly_one_draw_per_replicate() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [0.5, 2.5, 1.0, 3.5];
-        let mut used = Rng::seed_from_u64(61);
-        let mut reference = used.clone();
-        percentile_ci_paired_split(&a, &b, prob_outperform, 29, 0.1, &mut used);
-        for _ in 0..29 {
-            reference.next_u64();
-        }
-        assert_eq!(used.next_u64(), reference.next_u64());
-    }
-
-    #[test]
-    fn paired_split_generic_matches_prob_outperform_fast_path() {
-        // Routing `prob_outperform` through the generic paired split driver
-        // must reproduce the specialized win-indicator driver bit for bit:
-        // same child seeds, same replicate statistics, same quantiles.
-        let mut gen = Rng::seed_from_u64(62);
-        let a: Vec<f64> = (0..33).map(|_| gen.normal(0.0, 1.0)).collect();
-        let b: Vec<f64> = (0..33).map(|_| gen.normal(0.1, 1.0)).collect();
-        let generic = percentile_ci_paired_split(
-            &a,
-            &b,
-            prob_outperform,
-            600,
-            0.1,
-            &mut Rng::seed_from_u64(63),
-        );
-        let fast =
-            percentile_ci_prob_outperform_split(&a, &b, 600, 0.1, &mut Rng::seed_from_u64(63));
-        assert_eq!(generic, fast);
-    }
-
-    #[test]
-    fn generic_split_ci_narrows_with_sample_size() {
-        let small: Vec<f64> = (0..20).map(|i| (i % 5) as f64).collect();
-        let large: Vec<f64> = (0..2000).map(|i| (i % 5) as f64).collect();
-        let mut rng = Rng::seed_from_u64(55);
-        let ci_small = percentile_ci_split(&small, mean, 1000, 0.05, &mut rng);
-        let ci_large = percentile_ci_split(&large, mean, 1000, 0.05, &mut rng);
-        assert!(ci_large.width() < ci_small.width());
-        assert!(ci_small.lo <= ci_small.estimate && ci_small.estimate <= ci_small.hi);
     }
 
     #[test]

@@ -32,15 +32,24 @@ cargo test -q --offline
 say "varbench CLI: list + workloads + run all --test --json"
 target/release/varbench list
 target/release/varbench workloads --test
-target/release/varbench run all --test --json > /dev/null
+# The test-effort bytes are committed: any change to what an artifact
+# computes (e.g. the bootstrap's random stream) must update the golden.
+target/release/varbench run all --test --json > "$scratch/run_all_test.json"
+if ! cmp "$scratch/run_all_test.json" tests/golden/run_all_test.json; then
+    echo "ERROR: run all --test --json differs from tests/golden/run_all_test.json" >&2
+    exit 1
+fi
 # The two non-MLP workloads must produce variance reports end to end.
 target/release/varbench run workload-linear workload-synth --test > /dev/null
 target/release/varbench cache stats
-# Unknown flags must fail fast (the --ful typo regression).
-if target/release/varbench run fig1 --ful >/dev/null 2>&1; then
-    echo "ERROR: varbench accepted an unknown flag" >&2
-    exit 1
-fi
+# Unknown flags must fail fast (the --ful typo regression), and so must
+# the two removed run options.
+for flags in "--ful" "--test --par-bootstrap" "--test --workers 2"; do
+    if target/release/varbench run fig1 $flags >/dev/null 2>&1; then
+        echo "ERROR: varbench run fig1 accepted '$flags'" >&2
+        exit 1
+    fi
+done
 
 say "varbench serve: loopback smoke (serve <-> CLI byte-identity)"
 servedir="$scratch/serve"

@@ -148,75 +148,6 @@ fn simulation_grid_thread_count_invariant() {
 }
 
 #[test]
-fn split_bootstrap_bit_identical_across_thread_counts() {
-    // The split-stream bootstrap's acceptance guarantee: every replicate
-    // is a pure function of its own `Rng::split` child, so fanning the
-    // resample loop across any number of threads changes nothing — and
-    // the serial split driver in varbench-stats is the 1-thread
-    // reference.
-    use varbench::core::compare::compare_paired_with;
-    use varbench::core::ctx::BootstrapMode;
-    use varbench::rng::Rng;
-    use varbench::stats::bootstrap::percentile_ci_prob_outperform_split;
-
-    let mut g = Rng::seed_from_u64(77);
-    let a: Vec<f64> = (0..50).map(|_| g.normal(0.75, 0.02)).collect();
-    let b: Vec<f64> = (0..50).map(|_| g.normal(0.74, 0.02)).collect();
-
-    let reference =
-        percentile_ci_prob_outperform_split(&a, &b, 1500, 0.05, &mut Rng::seed_from_u64(78));
-    for threads in [1, 2, 4, 8] {
-        let ctx = RunContext::new(Runner::new(threads), MeasureCache::disabled())
-            .with_bootstrap(BootstrapMode::SplitPerReplicate);
-        let t = compare_paired_with(&a, &b, 0.75, 0.05, 1500, &mut Rng::seed_from_u64(78), &ctx);
-        assert_eq!(
-            t.ci, reference,
-            "split bootstrap differs at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn split_bootstrap_cache_keys_never_alias_serial_records() {
-    // The variant firewall: a context in split-bootstrap mode addresses
-    // every cached measurement under its own key space, so its records
-    // can never be served into (or from) the default serial path — even
-    // though today's score matrices do not depend on the mode.
-    use varbench::core::ctx::BootstrapMode;
-    use varbench::core::estimator::ideal_estimator;
-
-    let cs = CaseStudy::glue_rte_bert(Scale::Test);
-    let algo = HpoAlgorithm::RandomSearch;
-    let cache = MeasureCache::new();
-    let serial_ctx = RunContext::new(Runner::serial(), cache);
-    let run_a = ideal_estimator(&cs, 3, algo, 2, 5, &serial_ctx);
-    assert_eq!(serial_ctx.cache().stats().misses, 1);
-
-    // Same measurement under the split mode: the warm serial entry must
-    // NOT be served — the split context misses and computes its own.
-    let split_ctx = RunContext::new(Runner::serial(), MeasureCache::new())
-        .with_bootstrap(BootstrapMode::SplitPerReplicate);
-    let run_b = ideal_estimator(&cs, 3, algo, 2, 5, &split_ctx);
-    assert_eq!(split_ctx.cache().stats().misses, 1);
-    // The measured values themselves are mode-independent (the mode only
-    // governs bootstrap resampling, which happens downstream of the
-    // cache) — the quarantine is a firewall, not a value change.
-    assert_eq!(run_a, run_b);
-
-    // And the two modes' canonical addresses can never collide, so even
-    // one shared store keeps them as separate entries.
-    use varbench::pipeline::cache::MeasureKind;
-    let kind = || MeasureKind::IdealEstimator {
-        algo: algo.display_name(),
-        budget: 2,
-    };
-    assert_ne!(
-        serial_ctx.measure_key(&cs, kind(), 5).canon(),
-        split_ctx.measure_key(&cs, kind(), 5).canon()
-    );
-}
-
-#[test]
 fn numerical_noise_only_in_pascal_analog() {
     // Our substrate is bit-deterministic: the "numerical noise" source is
     // inert everywhere except the PascalVOC analog where the paper also

@@ -8,6 +8,7 @@ use varbench::core::exec::Runner;
 use varbench::pipeline::MeasureCache;
 use varbench_bench::args::Effort;
 use varbench_bench::figures::*;
+use varbench_bench::protocol::json_envelope;
 use varbench_bench::{registry, workloads};
 
 /// A standalone render: the module entry point, serially, with a private
@@ -260,6 +261,21 @@ fn registry_run_all_byte_identical_to_standalone_artifacts() {
             "{name} report differs from its standalone output"
         );
     }
+    // The checks above compare two paths of one build. The committed
+    // `varbench run all --test --json` output also pins what every path
+    // computes, so a change to, e.g., the bootstrap's random stream fails.
+    let docs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+    let envelope = format!("{}\n", json_envelope(Effort::Test, &docs));
+    let golden = include_str!("golden/run_all_test.json");
+    assert!(
+        envelope == golden,
+        "run all --test --json differs from tests/golden/run_all_test.json from byte {}",
+        envelope
+            .bytes()
+            .zip(golden.bytes())
+            .take_while(|(a, b)| a == b)
+            .count()
+    );
 }
 
 #[test]
