@@ -26,6 +26,7 @@ use varbench_bench::args::Effort;
 use varbench_bench::protocol::{json_envelope, parse_algo, parse_source, StudyRequest};
 use varbench_bench::registry::{self, RunContext, Spec};
 use varbench_bench::serve::{http_request, http_request_retry, ServeState, Server};
+use varbench_bench::supervisor::{Supervisor, SupervisorConfig};
 use varbench_bench::timing::{parse_snapshot, BenchResult, Harness, Output};
 use varbench_bench::worker::{dispatch, run_worker, study_jobs, DispatchConfig, WorkerConfig};
 use varbench_bench::{suites, workloads};
@@ -64,10 +65,13 @@ OPTIONS (study):
     --addr HOST:PORT            run the study on a `varbench serve` instance
                                 instead of in-process (response is identical)
     --serial / --threads N      local execution knobs (as for run)
-    --workers N                 shard the study across N `varbench worker`
-                                subprocesses over the shared cache dir (needs
-                                VARBENCH_CACHE_DIR; output is byte-identical
-                                to an unsharded run)
+    --workers N                 shard the study across a supervised fleet of
+                                N `varbench worker` subprocesses over the
+                                shared cache dir (respawn, quarantine and
+                                drain as for serve; started only if the cache
+                                misses a row; worker output is discarded;
+                                needs VARBENCH_CACHE_DIR; output is
+                                byte-identical to an unsharded run)
     --dispatch                  enqueue + wait for an external worker fleet
                                 (no subprocesses spawned); degrades to
                                 in-process computation if none shows up.
@@ -85,7 +89,11 @@ OPTIONS (worker):
     --drain                     exit once the queue is empty (fleet mode)
     --stop-file FILE            exit before the next claim once FILE exists
                                 (how a supervisor drains its fleet)
-    --poll-ms T                 pause between idle queue scans (default 100)
+    --poll-ms T                 longest pause between idle queue scans
+                                (default 100); a byte on stdin ends it early,
+                                and stdin closing after a byte (its
+                                supervisor is gone) ends the worker at its
+                                next empty-handed scan
     --idle-rounds N             empty-handed scans before exiting (default 20)
     --serial / --threads N      executor knobs (as for run)
 
@@ -472,6 +480,15 @@ fn build_ctx(serial: bool, threads: Option<usize>) -> RunContext {
     RunContext::new(runner, MeasureCache::from_env())
 }
 
+/// How long a `study --workers` fleet may take to exit once the study's
+/// rows are in (the default `serve --drain-ms`).
+const FLEET_DRAIN: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// Starts a supervised worker fleet, or exits with a usage error.
+fn start_fleet(cfg: SupervisorConfig) -> Supervisor {
+    Supervisor::start(cfg).unwrap_or_else(|e| fail(&format!("cannot start the worker fleet: {e}")))
+}
+
 /// Returns the shared cache directory a dispatching driver and its
 /// fleet coordinate through: both sides need a disk cache they can
 /// actually share.
@@ -616,15 +633,12 @@ fn serve_command(args: &[String]) {
     // children can see.
     let fleet = if fleet_workers > 0 {
         let dir = dispatch_cache_dir(&ctx);
-        let mut cfg = varbench_bench::supervisor::SupervisorConfig::new(dir, fleet_workers);
+        let mut cfg = SupervisorConfig::new(dir, fleet_workers);
         // `--max-respawns M` = M respawns after the initial spawn.
         cfg.respawn = RetryPolicy::new(max_respawns + 1)
             .initial_backoff(std::time::Duration::from_millis(100))
             .max_backoff(std::time::Duration::from_secs(2));
-        Some(
-            varbench_bench::supervisor::Supervisor::start(cfg)
-                .unwrap_or_else(|e| fail(&format!("cannot start the worker fleet: {e}"))),
-        )
+        Some(start_fleet(cfg))
     } else {
         None
     };
@@ -748,6 +762,31 @@ fn query_command(args: &[String]) {
     }
 }
 
+/// Rings for [`run_worker`]: one per byte on stdin, where a supervisor
+/// writes a byte at spawn and whenever it enqueues or reclaims work.
+/// EOF after a byte drops the sender, which tells the worker its
+/// supervisor is gone. A closed stdin (a worker run by hand or by an
+/// external fleet) or a terminal, which a background job cannot read
+/// without being stopped by SIGTTIN, never rings, and the worker waits
+/// out its plain poll.
+fn stdin_rings() -> std::sync::mpsc::Receiver<()> {
+    use std::io::{IsTerminal, Read};
+    let (ring, rings) = std::sync::mpsc::channel();
+    let stdin = std::io::stdin();
+    if !stdin.is_terminal() {
+        // Detached, not joined: it blocks in `read` for the life of the
+        // process, and nothing in std can interrupt that read.
+        std::thread::spawn(move || {
+            for byte in stdin.lock().bytes() {
+                if byte.is_err() || ring.send(()).is_err() {
+                    break;
+                }
+            }
+        });
+    }
+    rings
+}
+
 /// `varbench worker`: one member of a sharded-study fleet. Scans the
 /// shared cache directory's job queue, claims rows through crash-safe
 /// leases, computes them, and publishes the measurement records the
@@ -821,7 +860,7 @@ fn worker_command(args: &[String]) {
         cfg.owner = name;
     }
     cfg.stop_file = stop_file;
-    let summary = run_worker(&cfg);
+    let summary = run_worker(&cfg, &stdin_rings());
     // stderr only: a worker's stdout must never pollute a driver's
     // report stream.
     eprintln!(
@@ -1022,11 +1061,7 @@ fn study_command(args: &[String]) {
     // deliver. The report bytes are identical either way.
     if workers.is_some() || dispatch_only {
         let dir = dispatch_cache_dir(&ctx);
-        let mut dcfg = DispatchConfig::new(dir, workers.unwrap_or(0));
-        if dispatch_only {
-            // Rely on an externally managed fleet; spawn nothing.
-            dcfg.exe = None;
-        }
+        let mut dcfg = DispatchConfig::new(&dir);
         if let Some(ms) = wait_ms {
             dcfg.wait = std::time::Duration::from_millis(ms);
         }
@@ -1036,7 +1071,20 @@ fn study_command(args: &[String]) {
         let w = req.find_workload().unwrap_or_else(|e| fail(&e));
         let study = req.configure(w.as_ref()).unwrap_or_else(|e| fail(&e));
         let jobs = study_jobs(&req.workload, req.effort, w.as_ref(), study.plan(), &ctx);
-        report_dispatch(&dispatch(&dcfg, jobs, &ctx));
+        // Started only once the request is valid: `fail` exits without
+        // running destructors, so no exit path may find the fleet alive.
+        // `--dispatch` relies on an external fleet, and a warm cache
+        // needs none: neither starts one.
+        let cold = jobs
+            .iter()
+            .any(|dj| ctx.cache().probe_rows(&dj.probe.0) < dj.probe.1);
+        let fleet = workers
+            .filter(|&n| n > 0 && !dispatch_only && cold)
+            .map(|n| start_fleet(SupervisorConfig::new(&dir, n)));
+        report_dispatch(&dispatch(&dcfg, jobs, &ctx, fleet.as_ref()));
+        if let Some(sup) = fleet {
+            sup.shutdown(FLEET_DRAIN);
+        }
     }
 
     if json {

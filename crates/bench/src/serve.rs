@@ -40,10 +40,11 @@
 //! A [`StudyRequest`] with `"dispatch": true` routes the study's plan
 //! through the PR-9 worker-fleet machinery: rows are enqueued into the
 //! cache-dir lease queue, a supervised fleet (see [`crate::supervisor`])
-//! computes them, the driver's stall-detection reclaims dead owners'
-//! leases, and the response is then assembled **in-process from the warm
-//! cache** — so served bytes stay identical to offline runs no matter
-//! which process computed which row. Shutdown drains gracefully: stop
+//! is rung and computes them, the driver's stall-detection reclaims dead
+//! owners' leases and rings the fleet to take them over, and the
+//! response is then assembled **in-process from the warm cache** — so
+//! served bytes stay identical to offline runs no matter which process
+//! computed which row. Shutdown drains gracefully: stop
 //! accepting, finish in-flight requests, stop the fleet via its stop
 //! file, release any lease the fleet still holds, then exit.
 //!
@@ -116,7 +117,6 @@ pub struct ServeState {
     fleet: Option<Supervisor>,
     dispatch_wait: Duration,
     dispatch_row_timeout: Duration,
-    dispatch_poll: Duration,
 }
 
 impl ServeState {
@@ -130,7 +130,6 @@ impl ServeState {
             fleet: None,
             dispatch_wait: Duration::from_millis(20_000),
             dispatch_row_timeout: Duration::from_millis(2_000),
-            dispatch_poll: Duration::from_millis(50),
         }
     }
 
@@ -147,9 +146,6 @@ impl ServeState {
     pub fn with_dispatch_tuning(mut self, wait: Duration, row_timeout: Duration) -> ServeState {
         self.dispatch_wait = wait;
         self.dispatch_row_timeout = row_timeout;
-        self.dispatch_poll = row_timeout
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(1));
         self
     }
 
@@ -316,14 +312,10 @@ fn run_study_dispatched(state: &ServeState, req: &StudyRequest) -> Result<String
     let plan = req.configure(workload.as_ref())?.plan();
     let jobs = worker::study_jobs(&req.workload, req.effort, workload.as_ref(), plan, ctx);
     faultpoint("serve:mid-dispatch");
-    let mut dcfg = worker::DispatchConfig::new(dir, 0);
-    // The serve fleet is supervised and long-lived: never spawn
-    // per-request workers, just enqueue and watch the cache.
-    dcfg.exe = None;
+    let mut dcfg = worker::DispatchConfig::new(dir);
     dcfg.wait = state.dispatch_wait;
     dcfg.row_timeout = state.dispatch_row_timeout;
-    dcfg.poll = state.dispatch_poll;
-    let outcome = worker::dispatch(&dcfg, jobs, ctx);
+    let outcome = worker::dispatch(&dcfg, jobs, ctx, state.fleet());
     eprintln!(
         "serve dispatch: {} unit(s), {} already cached, {} fleet-completed, {} lease reclaim(s){}",
         outcome.jobs,

@@ -1,4 +1,5 @@
-//! Supervision of a `varbench worker` fleet for the study server.
+//! Supervision of a `varbench worker` fleet: the one owner of every
+//! fleet, for the study server and for `varbench study --workers N`.
 //!
 //! [`Supervisor::start`] spawns N long-lived `varbench worker` child
 //! processes against a shared cache directory and watches them from a
@@ -12,24 +13,31 @@
 //! `healthy_after` of accumulated monitor polls, so a fleet that crashes
 //! once a day never exhausts its restart budget.
 //!
-//! Shutdown is a cooperative drain, not a `SIGKILL` volley:
-//! [`Supervisor::shutdown`] writes a stop file that every worker polls
-//! (`varbench worker --stop-file`), waits out a bounded drain budget for
-//! the children to finish their in-flight row and exit, kills any
-//! stragglers, and finally releases any lease still owned by this
-//! fleet's workers so a later study never waits out a stall timeout on a
-//! lease whose owner is gone.
+//! Each worker's stdin is a pipe from the supervisor. [`Supervisor::wake`]
+//! writes one byte to every live worker, which ends the worker's idle
+//! wait at once (see [`crate::worker::run_worker`]): the dispatch driver
+//! rings the fleet whenever it enqueues or reclaims a row, so a worker
+//! starts on new work without waiting out its poll interval.
 //!
-//! All waiting is paced by summing the `Duration`s the monitor sleeps —
-//! the supervisor never reads a wall clock (lint L002).
+//! Shutdown is a cooperative drain, not a `SIGKILL` volley:
+//! [`Supervisor::shutdown`] writes a stop file that every worker checks
+//! (`varbench worker --stop-file`), rings the fleet so idle workers see
+//! it at once, waits up to a bounded drain budget for the children to
+//! finish their in-flight row and exit, kills any stragglers, and
+//! finally releases any lease still owned by this fleet's workers so a
+//! later study never waits out a stall timeout on a lease whose owner is
+//! gone.
+//!
+//! All waiting is paced by summing the `Duration`s actually slept — the
+//! supervisor never reads a wall clock (lint L002).
 
 #![deny(missing_docs)]
 
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -54,7 +62,7 @@ pub struct SupervisorConfig {
     /// zero — distinguishes a worker that dies occasionally from one
     /// that dies on arrival.
     pub healthy_after: Duration,
-    /// Monitor poll interval (also the unit the drain budget is paced in).
+    /// Monitor poll interval.
     pub poll: Duration,
     /// Test hook: replaces the *entire* worker command line (program +
     /// args). The stop file and owner id are appended semantics-free, so
@@ -138,17 +146,19 @@ struct Slot {
     quarantined: bool,
 }
 
-struct Shared {
-    stop: AtomicBool,
-    slots: Mutex<Vec<Slot>>,
-}
+/// How often [`Supervisor::shutdown`] checks whether the drained
+/// workers have exited.
+const EXIT_CHECK: Duration = Duration::from_millis(1);
+
+/// The monitor thread and the sender whose drop ends its sleep.
+type Monitor = (Sender<()>, JoinHandle<()>);
 
 /// A running supervised fleet. Dropping without [`Supervisor::shutdown`]
 /// still stops the monitor and kills the children (no orphan processes),
 /// but skips the cooperative drain.
 pub struct Supervisor {
-    shared: Arc<Shared>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
+    slots: Arc<Mutex<Vec<Slot>>>,
+    monitor: Mutex<Option<Monitor>>,
     cfg: SupervisorConfig,
     stop_file: PathBuf,
     owner_prefix: String,
@@ -161,17 +171,25 @@ impl Supervisor {
         if cfg.exe.is_none() && cfg.argv.is_none() {
             cfg.exe = Some(std::env::current_exe()?);
         }
-        let owner_prefix = format!("serve-fleet-{}-", std::process::id());
+        let owner_prefix = format!("fleet-{}-", std::process::id());
         let stop_file = cfg
             .cache_dir
             .join(format!("fleet-{}.stop", std::process::id()));
         let _ = std::fs::remove_file(&stop_file);
 
-        let mut slots = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let owner = format!("{owner_prefix}s{i}");
-            let child = spawn_worker(&cfg, &stop_file, &owner)?;
-            slots.push(Slot {
+        // Built before the first spawn: if a later spawn fails, dropping
+        // `sup` on the way out kills the workers already running.
+        let sup = Supervisor {
+            slots: Arc::new(Mutex::new(Vec::with_capacity(cfg.workers))),
+            monitor: Mutex::new(None),
+            cfg,
+            stop_file,
+            owner_prefix,
+        };
+        for i in 0..sup.cfg.workers {
+            let owner = format!("{}s{i}", sup.owner_prefix);
+            let child = spawn_worker(&sup.cfg, &sup.stop_file, &owner)?;
+            sup.slots.lock().expect("fleet slots poisoned").push(Slot {
                 owner,
                 child: Some(child),
                 respawns: 0,
@@ -180,28 +198,20 @@ impl Supervisor {
                 quarantined: false,
             });
         }
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            slots: Mutex::new(slots),
-        });
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            let cfg = cfg.clone();
-            let stop_file = stop_file.clone();
-            std::thread::spawn(move || monitor_loop(&shared, &cfg, &stop_file))
+        let (stop, stopped) = mpsc::channel();
+        let handle = {
+            let slots = Arc::clone(&sup.slots);
+            let cfg = sup.cfg.clone();
+            let stop_file = sup.stop_file.clone();
+            std::thread::spawn(move || monitor_loop(&slots, &cfg, &stop_file, &stopped))
         };
-        Ok(Supervisor {
-            shared,
-            monitor: Mutex::new(Some(monitor)),
-            cfg,
-            stop_file,
-            owner_prefix,
-        })
+        *sup.monitor.lock().expect("monitor poisoned") = Some((stop, handle));
+        Ok(sup)
     }
 
     /// Current fleet health.
     pub fn status(&self) -> FleetStatus {
-        let slots = self.shared.slots.lock().expect("fleet slots poisoned");
+        let slots = self.slots.lock().expect("fleet slots poisoned");
         FleetStatus {
             slots: slots
                 .iter()
@@ -220,19 +230,46 @@ impl Supervisor {
         &self.owner_prefix
     }
 
-    /// Drains the fleet: stop respawning, ask the workers to exit via
-    /// the stop file, wait up to `drain` for them to finish their
-    /// in-flight row, kill stragglers, and release any lease still owned
-    /// by this fleet.
-    pub fn shutdown(&self, drain: Duration) -> DrainSummary {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.monitor.lock().expect("monitor poisoned").take() {
+    /// Rings every live worker: one byte on its stdin ends its idle wait
+    /// at once, so it scans the queue now instead of after its poll.
+    /// Write errors are ignored: a dead worker is the monitor's to
+    /// respawn, and a ring that never arrives only costs that poll.
+    pub fn wake(&self) {
+        let mut slots = self.slots.lock().expect("fleet slots poisoned");
+        for child in slots.iter_mut().filter_map(|s| s.child.as_mut()) {
+            if let Some(stdin) = child.stdin.as_mut() {
+                let _ = stdin.write_all(b"\n");
+            }
+        }
+    }
+
+    /// Stops the monitor: dropping its sender ends its sleep at once.
+    fn stop_monitor(&self) {
+        // The guarded `Option` is valid in every state, so a poisoned
+        // lock is safe to recover (and `Drop` must not panic).
+        let monitor = self
+            .monitor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some((stop, handle)) = monitor {
+            drop(stop);
             let _ = handle.join();
         }
+    }
+
+    /// Drains the fleet: stop respawning, ask the workers to exit via
+    /// the stop file and a ring, wait up to `drain` for them to finish
+    /// their in-flight row, kill stragglers, and release any lease still
+    /// owned by this fleet.
+    pub fn shutdown(&self, drain: Duration) -> DrainSummary {
+        self.stop_monitor();
         let _ = std::fs::write(&self.stop_file, b"drain\n");
+        // After the stop file exists: a worker this ring wakes sees it.
+        self.wake();
 
         let mut summary = DrainSummary::default();
-        let mut slots = self.shared.slots.lock().expect("fleet slots poisoned");
+        let mut slots = self.slots.lock().expect("fleet slots poisoned");
         let mut waited = Duration::ZERO;
         while waited < drain {
             let mut alive = 0;
@@ -251,8 +288,8 @@ impl Supervisor {
             if alive == 0 {
                 break;
             }
-            std::thread::sleep(self.cfg.poll);
-            waited += self.cfg.poll;
+            std::thread::sleep(EXIT_CHECK);
+            waited += EXIT_CHECK;
         }
         for slot in slots.iter_mut() {
             if let Some(mut child) = slot.child.take() {
@@ -281,11 +318,8 @@ impl Supervisor {
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.monitor.lock().expect("monitor poisoned").take() {
-            let _ = handle.join();
-        }
-        let mut slots = self.shared.slots.lock().expect("fleet slots poisoned");
+        self.stop_monitor();
+        let mut slots = self.slots.lock().expect("fleet slots poisoned");
         for slot in slots.iter_mut() {
             if let Some(mut child) = slot.child.take() {
                 let _ = child.kill();
@@ -310,7 +344,8 @@ fn spawn_worker(cfg: &SupervisorConfig, stop_file: &Path, owner: &str) -> io::Re
                 .arg(&cfg.cache_dir)
                 .arg("--id")
                 .arg(owner)
-                // Long-lived: the stop file ends the worker, not idleness.
+                // Long-lived: the stop file (or the supervisor's death,
+                // see below) ends the worker, not idleness.
                 .arg("--idle-rounds")
                 .arg("1000000")
                 .arg("--poll-ms")
@@ -320,16 +355,32 @@ fn spawn_worker(cfg: &SupervisorConfig, stop_file: &Path, owner: &str) -> io::Re
             cmd
         }
     };
-    cmd.stdin(Stdio::null())
+    // stdin carries the rings of `Supervisor::wake`. The first, written
+    // at spawn, tells the worker a supervisor owns it: once this end
+    // closes (the supervisor died), the worker stops instead of polling
+    // on for an owner that is gone.
+    cmd.stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    cmd.spawn()
+    let mut child = cmd.spawn()?;
+    if let Some(stdin) = child.stdin.as_mut() {
+        // A child that already exited is the monitor's to respawn.
+        let _ = stdin.write_all(b"\n");
+    }
+    Ok(child)
 }
 
-fn monitor_loop(shared: &Shared, cfg: &SupervisorConfig, stop_file: &Path) {
-    while !shared.stop.load(Ordering::SeqCst) {
+/// Watches the slots once per `cfg.poll` until `stopped`'s sender is
+/// dropped.
+fn monitor_loop(
+    slots: &Mutex<Vec<Slot>>,
+    cfg: &SupervisorConfig,
+    stop_file: &Path,
+    stopped: &Receiver<()>,
+) {
+    loop {
         {
-            let mut slots = shared.slots.lock().expect("fleet slots poisoned");
+            let mut slots = slots.lock().expect("fleet slots poisoned");
             for (i, slot) in slots.iter_mut().enumerate() {
                 if slot.quarantined {
                     continue;
@@ -382,7 +433,11 @@ fn monitor_loop(shared: &Shared, cfg: &SupervisorConfig, stop_file: &Path) {
                 }
             }
         }
-        std::thread::sleep(cfg.poll);
+        // A full poll unless the sender is dropped, which ends the wait
+        // at once: the sums of `cfg.poll` above stay exact.
+        if stopped.recv_timeout(cfg.poll) != Err(RecvTimeoutError::Timeout) {
+            break;
+        }
     }
 }
 
@@ -468,6 +523,35 @@ mod tests {
         });
         assert_eq!(sup.status().quarantined(), 0);
         sup.shutdown(Duration::from_millis(20));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wake_reaches_a_live_workers_stdin_and_shutdown_skips_the_monitor_poll() {
+        let dir = fresh_dir("wake");
+        let marker = dir.join("rung");
+        let mut cfg = SupervisorConfig::new(&dir, 1);
+        // The first line is the ring written at spawn; the second is ours.
+        cfg.argv = sh(&format!(
+            "read spawned && read x && : > {}; sleep 60",
+            marker.display()
+        ));
+        // The monitor sleeps an hour after its first pass: only a stop
+        // that ends that sleep at once lets shutdown return in time.
+        cfg.poll = Duration::from_secs(3600);
+        let sup = Supervisor::start(cfg).unwrap();
+        assert_eq!(sup.status().running(), 1);
+        assert!(!marker.exists(), "nothing has rung yet");
+        sup.wake();
+        wait_until(|| marker.exists());
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(sup.shutdown(Duration::from_millis(20)));
+        });
+        let summary = drained
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown must not wait out the monitor's poll");
+        assert_eq!(summary.killed, 1, "the rung script sleeps on");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

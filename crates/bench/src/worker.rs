@@ -7,21 +7,22 @@
 //! nothing but the cache directory:
 //!
 //! * the **driver** ([`dispatch`]) enqueues one job file per unsatisfied
-//!   unit (`varbench_pipeline::lease::enqueue`), optionally spawns a
-//!   fleet of `varbench worker` subprocesses, then polls the cache for
-//!   the published records — reclaiming the lease of any row that stops
-//!   making progress, and finally running the study **in-process**
-//!   against the now-warm cache. That last step is both the fallback
-//!   (fleet never showed up, died, or timed out) and the assembly: the
-//!   report is always produced by the same single-process code path, so
-//!   a sharded study is byte-identical to an unsharded one *by
-//!   construction*;
+//!   unit (`varbench_pipeline::lease::enqueue`), rings the supervised
+//!   fleet ([`crate::supervisor`]) if it has one, then probes the cache
+//!   for the published records — reclaiming the lease of any row that
+//!   stops making progress. The caller finally runs the study
+//!   **in-process** against the now-warm cache. That last step is both
+//!   the fallback (fleet never showed up, died, or timed out) and the
+//!   assembly: the report is always produced by the same single-process
+//!   code path, so a sharded study is byte-identical to an unsharded one
+//!   *by construction*;
 //! * each **worker** ([`run_worker`]) scans the queue in deterministic
 //!   stem order, claims a unit through an atomic lease
 //!   (`varbench_pipeline::lease::claim`), computes it through the exact
 //!   estimator path the in-process study uses, publishes the record via
 //!   the cache's atomic tmp + rename, then releases the lease and
-//!   dequeues the job.
+//!   dequeues the job. An idle worker waits for a ring or its poll
+//!   interval, whichever comes first.
 //!
 //! # Fault model
 //!
@@ -40,14 +41,15 @@
 //! and queue files live beside the records, not inside their keys.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 use crate::args::Effort;
 use crate::protocol::{parse_algo, parse_source};
 use crate::registry::RunContext;
+use crate::supervisor::Supervisor;
 use crate::workloads;
 use varbench_core::exec::Runner;
-use varbench_core::retry::RetryPolicy;
 use varbench_core::study::{PlannedMeasurement, StudyUnit};
 use varbench_pipeline::faultpoint::faultpoint;
 use varbench_pipeline::lease::{
@@ -169,7 +171,8 @@ pub struct WorkerConfig {
     pub cache_dir: PathBuf,
     /// Lease owner label (default `worker-<pid>`).
     pub owner: String,
-    /// Pause between queue scans that found nothing claimable.
+    /// Longest pause between queue scans that found nothing claimable
+    /// (a ring ends it early; see [`run_worker`]).
     pub poll: Duration,
     /// Consecutive empty-handed scans before exiting (ignored rows
     /// someone else holds count as empty-handed).
@@ -280,14 +283,26 @@ fn stop_requested(cfg: &WorkerConfig) -> bool {
 /// configured stop file appears (checked between jobs, so an in-flight
 /// row always finishes and releases its lease before the exit).
 ///
+/// Between empty-handed scans the worker waits up to `cfg.poll`; each
+/// message on `wake` ends one such wait early, including one sent while
+/// the worker was scanning or computing. `varbench worker` feeds `wake`
+/// from stdin, where a [`Supervisor`] writes a byte at spawn and
+/// whenever there is new work or a stop to see. A `wake` that never
+/// rang and has no sender left (stdin closed or a terminal) makes each
+/// wait a plain `cfg.poll` sleep, never a spin. One that rang and then
+/// lost its sender means the supervisor is gone: the worker exits at
+/// its next empty-handed scan instead of polling for an owner that
+/// will never stop it.
+///
 /// Returns what was accomplished; errors are per-job and non-fatal (a
 /// torn payload is skipped, not a crash — robustness means the fleet
 /// outlives any single bad job).
-pub fn run_worker(cfg: &WorkerConfig) -> WorkerSummary {
+pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
     let ctx = worker_ctx(cfg);
     let dir = cfg.cache_dir.as_path();
     let mut summary = WorkerSummary::default();
     let mut idle = 0u32;
+    let mut rung = false;
     loop {
         let mut progressed = false;
         for id in scan_queue(dir) {
@@ -361,23 +376,23 @@ pub fn run_worker(cfg: &WorkerConfig) -> WorkerSummary {
             if idle >= cfg.idle_rounds {
                 break;
             }
-            std::thread::sleep(cfg.poll);
+            match wake.recv_timeout(cfg.poll) {
+                Ok(()) => rung = true,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) if rung => break,
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(cfg.poll),
+            }
         }
     }
     summary
 }
 
-/// How a dispatch driver runs its fleet and how long it waits before
-/// degrading to in-process computation.
+/// How long a dispatch driver waits on its fleet before degrading to
+/// in-process computation.
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
     /// The shared cache directory.
     pub cache_dir: PathBuf,
-    /// Worker subprocesses to spawn (0: rely on an external fleet).
-    pub workers: usize,
-    /// The `varbench` binary to spawn workers from (`None` disables
-    /// spawning even when `workers > 0` — unit tests use this).
-    pub exe: Option<PathBuf>,
     /// Total wall budget to wait on the fleet before computing whatever
     /// is missing in-process. Tracked by summing the pauses actually
     /// slept (no wall clock is read).
@@ -385,21 +400,23 @@ pub struct DispatchConfig {
     /// How long a claimed row may go without progress (no new record,
     /// no ownership change) before its lease is reclaimed.
     pub row_timeout: Duration,
-    /// Pause between cache probes.
+    /// Pause between passes over the missing rows (cache probes, stall
+    /// detection and reclaim).
     pub poll: Duration,
 }
 
 impl DispatchConfig {
-    /// A driver over `cache_dir` spawning `workers` subprocesses of the
-    /// current executable, with defaults sized for CI-scale studies.
-    pub fn new(cache_dir: impl Into<PathBuf>, workers: usize) -> DispatchConfig {
+    /// A driver over `cache_dir` with defaults sized for CI-scale
+    /// studies.
+    pub fn new(cache_dir: impl Into<PathBuf>) -> DispatchConfig {
         DispatchConfig {
             cache_dir: cache_dir.into(),
-            workers,
-            exe: std::env::current_exe().ok(),
             wait: Duration::from_millis(20_000),
             row_timeout: Duration::from_millis(2_000),
-            poll: Duration::from_millis(50),
+            // A pass is a stat, a cache probe and a lease read per
+            // missing row, and a plan has a handful of units: cheap
+            // enough to look every millisecond.
+            poll: Duration::from_millis(1),
         }
     }
 }
@@ -412,7 +429,10 @@ pub struct DispatchOutcome {
     pub jobs: usize,
     /// Units already satisfied before anything was enqueued.
     pub satisfied_upfront: usize,
-    /// Units observed completed by the fleet within the wait budget.
+    /// Units whose record the fleet published within the wait budget.
+    /// A unit whose job file vanished without a record (its enqueue
+    /// failed, or another driver cancelled it) is not counted; the
+    /// in-process run computes it.
     pub completed: usize,
     /// Leases reclaimed after stalling `row_timeout` without progress.
     pub reclaims: u64,
@@ -429,7 +449,8 @@ pub struct DispatchJob {
     /// The work itself.
     pub job: Job,
     /// `(key, rows)`: done when the cache holds `rows` rows under `key`
-    /// (or when the job file is dequeued).
+    /// (the wait also ends when the job file is gone without them; the
+    /// in-process run then computes the row).
     pub probe: (MeasureKey, usize),
 }
 
@@ -442,20 +463,27 @@ struct Tracked {
 }
 
 /// Dispatches `jobs` to a worker fleet over `cfg.cache_dir` and waits —
-/// with reclaim on stalled leases and bounded retry pacing from
-/// [`RetryPolicy`] — until every unit is satisfied or the wait budget
-/// expires. On return (either way), leftover queue files for missing
-/// units are cancelled and spawned workers are reaped; the caller then
-/// runs its study in-process against the warm cache, which
-/// computes only what the fleet did not deliver.
+/// with reclaim on stalled leases — until every unit is satisfied or the
+/// wait budget expires. With a supervised `fleet`, its workers are rung
+/// after the enqueue and after each reclaim, so they start at once;
+/// without one, an external fleet picks the jobs up on its own polls.
+/// On return (either way), leftover queue files for missing units are
+/// cancelled; the caller then runs its study in-process against the
+/// warm cache, which computes only what the fleet did not deliver.
 ///
 /// `probe_ctx` is only used to probe the cache for published records.
 pub fn dispatch(
     cfg: &DispatchConfig,
     jobs: Vec<DispatchJob>,
     probe_ctx: &RunContext,
+    fleet: Option<&Supervisor>,
 ) -> DispatchOutcome {
     let dir = cfg.cache_dir.as_path();
+    let ring = || {
+        if let Some(sup) = fleet {
+            sup.wake();
+        }
+    };
     let mut outcome = DispatchOutcome {
         jobs: jobs.len(),
         ..DispatchOutcome::default()
@@ -478,40 +506,30 @@ pub fn dispatch(
             stalled: Duration::ZERO,
         });
     }
-
-    let mut fleet: Vec<std::process::Child> = Vec::new();
     if !tracked.is_empty() {
-        if let (Some(exe), true) = (&cfg.exe, cfg.workers > 0) {
-            for i in 0..cfg.workers {
-                let spawned = std::process::Command::new(exe)
-                    .arg("worker")
-                    .arg("--cache-dir")
-                    .arg(dir)
-                    .arg("--drain")
-                    .arg("--id")
-                    .arg(format!("fleet-{i}-{}", std::process::id()))
-                    .stdin(std::process::Stdio::null())
-                    .stdout(std::process::Stdio::null())
-                    .spawn();
-                match spawned {
-                    Ok(child) => fleet.push(child),
-                    Err(e) => eprintln!("dispatch: cannot spawn worker {i}: {e}"),
-                }
-            }
-        }
+        ring();
     }
 
     // Wait on the fleet. Elapsed time is the sum of pauses actually
-    // slept — the same discipline as RetryPolicy, no wall clock.
+    // slept — no wall clock is read.
     let mut waited = Duration::ZERO;
     loop {
         let mut missing = 0usize;
         for t in tracked.iter_mut().filter(|t| !t.done) {
+            // A worker publishes, then releases, then dequeues: once the
+            // job file is gone, the record is there — or the row was
+            // never enqueued or another driver cancelled it, and the
+            // in-process run computes it. Stat before probing, so a
+            // record published just before the dequeue is seen.
+            let queued = job_path(dir, &t.id).exists();
             let (key, rows) = &t.probe;
-            let published = probe_ctx.cache().probe_rows(key) >= *rows;
-            if published || !job_path(dir, &t.id).exists() {
+            if probe_ctx.cache().probe_rows(key) >= *rows {
                 t.done = true;
                 outcome.completed += 1;
+                continue;
+            }
+            if !queued {
+                t.done = true;
                 continue;
             }
             missing += 1;
@@ -526,6 +544,7 @@ pub fn dispatch(
                                 Ok(true) => {
                                     outcome.reclaims += 1;
                                     t.stalled = Duration::ZERO;
+                                    ring();
                                 }
                                 Ok(false) => {}
                                 Err(e) => eprintln!("dispatch: reclaim {} failed: {e}", t.id),
@@ -555,36 +574,7 @@ pub fn dispatch(
     for t in tracked.iter().filter(|t| !t.done) {
         dequeue(dir, &t.id);
     }
-    reap(&mut fleet);
     outcome
-}
-
-/// Reaps spawned workers: waits briefly for the drain-mode exit (the
-/// queue is empty or cancelled by now), then kills stragglers — records
-/// they were mid-publishing are either whole or invisible, so killing
-/// is always safe.
-fn reap(fleet: &mut Vec<std::process::Child>) {
-    let grace = RetryPolicy::new(8).initial_backoff(Duration::from_millis(50));
-    for mut child in fleet.drain(..) {
-        let mut attempt = 0u32;
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) => match grace.backoff_after(attempt) {
-                    Some(pause) => {
-                        std::thread::sleep(pause);
-                        attempt += 1;
-                    }
-                    None => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                },
-                Err(_) => break,
-            }
-        }
-    }
 }
 
 /// Builds the [`DispatchJob`] list for a study plan: one job per
@@ -619,7 +609,13 @@ pub fn study_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use varbench_core::study::Study;
+
+    /// A wake source that never rings: every idle wait is a plain poll.
+    fn no_rings() -> Receiver<()> {
+        mpsc::channel().1
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -675,7 +671,7 @@ mod tests {
         }
         let mut cfg = WorkerConfig::new(&dir);
         cfg.serial = true;
-        let summary = run_worker(&cfg);
+        let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary.completed as usize, plan.len());
         assert_eq!(summary.skipped, 0);
         assert!(scan_queue(&dir).is_empty(), "queue drained");
@@ -685,7 +681,7 @@ mod tests {
             assert_eq!(probe.cache().probe_rows(&key), 3, "{}", pm.label());
         }
         // A second worker over the same queue finds nothing.
-        assert_eq!(run_worker(&cfg), WorkerSummary::default());
+        assert_eq!(run_worker(&cfg, &no_rings()), WorkerSummary::default());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -710,7 +706,7 @@ mod tests {
         }
         let mut cfg = WorkerConfig::new(&dir);
         cfg.serial = true;
-        let summary = run_worker(&cfg);
+        let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary.satisfied as usize, plan.len());
         assert_eq!(summary.completed, 0, "nothing recomputed");
         assert!(scan_queue(&dir).is_empty());
@@ -728,13 +724,11 @@ mod tests {
         assert_eq!(jobs.len(), plan.len());
         let cfg = DispatchConfig {
             cache_dir: dir.clone(),
-            workers: 0,
-            exe: None,
             wait: Duration::from_millis(100),
             row_timeout: Duration::from_millis(50),
             poll: Duration::from_millis(10),
         };
-        let outcome = dispatch(&cfg, jobs, &ctx);
+        let outcome = dispatch(&cfg, jobs, &ctx, None);
         assert!(outcome.timed_out, "no fleet ever showed up");
         assert_eq!(outcome.completed, 0);
         assert!(
@@ -751,9 +745,132 @@ mod tests {
         assert_eq!(report.render_text(), baseline.render_text());
         // Re-dispatching afterwards finds everything satisfied upfront.
         let jobs = study_jobs("synthetic-ridge", effort, w.as_ref(), plan, &ctx);
-        let outcome = dispatch(&cfg, jobs, &ctx);
+        let outcome = dispatch(&cfg, jobs, &ctx, None);
         assert_eq!(outcome.satisfied_upfront, outcome.jobs);
         assert!(!outcome.timed_out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rung_worker_takes_new_work_at_once_and_exits_on_stop_file_and_ring() {
+        let dir = scratch("rung");
+        let effort = Effort::Test;
+        let plan = plan_for("synthetic-ridge", effort, 2);
+        let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
+        let pm = plan[0].clone();
+        let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
+        let job = Job {
+            workload: "synthetic-ridge".into(),
+            effort,
+            pm,
+        };
+        let stop = dir.join("stop");
+        let mut cfg = WorkerConfig::new(&dir);
+        cfg.serial = true;
+        cfg.drain = false;
+        cfg.idle_rounds = u32::MAX;
+        // No idle wait may end on its own within the test.
+        cfg.poll = Duration::from_secs(3600);
+        cfg.stop_file = Some(stop.clone());
+        // A rendezvous channel: each ring returns only once an idle wait
+        // has taken it, which orders the steps below without sleeps.
+        let (ring, wake) = mpsc::sync_channel(0);
+        // Held to the end: the worker must exit on the stop file, not
+        // because its ring source hung up.
+        let _held = ring.clone();
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(run_worker(&cfg, &wake));
+        });
+        let (id, queue_dir) = (key.canon().to_string(), dir.clone());
+        std::thread::spawn(move || {
+            ring.send(()).unwrap(); // the worker scanned an empty queue
+            enqueue(&queue_dir, &id, &job.render()).unwrap();
+            ring.send(()).unwrap(); // the next scan finds the job
+            ring.send(()).unwrap(); // an empty scan followed it: done
+            std::fs::write(&stop, b"drain\n").unwrap();
+            ring.send(()).unwrap();
+        });
+        let summary = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("rings must end the hour-long idle waits");
+        assert_eq!(summary.completed, 1);
+        assert!(scan_queue(&dir).is_empty());
+        let probe = MeasureCache::with_dir(&dir);
+        assert_eq!(probe.probe_rows(&key), 2, "record published");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_worker_whose_ring_source_hangs_up_finishes_the_queue_and_exits() {
+        let dir = scratch("hangup");
+        let effort = Effort::Test;
+        let plan = plan_for("synthetic-ridge", effort, 2);
+        let job = Job {
+            workload: "synthetic-ridge".into(),
+            effort,
+            pm: plan[0].clone(),
+        };
+        enqueue(&dir, "queued-before-the-hangup", &job.render()).unwrap();
+        let mut cfg = WorkerConfig::new(&dir);
+        cfg.serial = true;
+        cfg.drain = false;
+        cfg.idle_rounds = u32::MAX;
+        // Neither idleness nor a poll may end the run within the test.
+        cfg.poll = Duration::from_secs(3600);
+        let (ring, wake) = mpsc::channel();
+        ring.send(()).unwrap(); // the ring a supervisor writes at spawn
+        drop(ring); // ... and then the supervisor is gone
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(run_worker(&cfg, &wake));
+        });
+        let summary = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a worker whose supervisor is gone must not poll on");
+        assert_eq!(summary.completed, 1, "queued work is finished first");
+        assert!(scan_queue(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_worker_without_a_ring_source_polls_until_idle() {
+        let dir = scratch("no-ring-source");
+        // Skipped again on every scan: the count of skips is the count
+        // of scans.
+        enqueue(&dir, "torn", "not a job\n").unwrap();
+        let mut cfg = WorkerConfig::new(&dir);
+        cfg.drain = false;
+        cfg.idle_rounds = 3;
+        cfg.poll = Duration::from_millis(1);
+        // Never rang and no sender: stdin closed, or a terminal.
+        let summary = run_worker(&cfg, &no_rings());
+        assert_eq!(summary.skipped, 3, "one scan per idle round, no early exit");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_row_whose_enqueue_failed_is_not_counted_as_fleet_completed() {
+        let dir = scratch("enqueue-fails");
+        // A plain file where the queue directory belongs: enqueue fails.
+        let queue = lease::queue_dir(&dir);
+        std::fs::create_dir_all(queue.parent().unwrap()).unwrap();
+        std::fs::write(&queue, b"not a directory\n").unwrap();
+        let effort = Effort::Test;
+        let ctx = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
+        let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
+        let plan = plan_for("synthetic-ridge", effort, 2);
+        let jobs = study_jobs("synthetic-ridge", effort, w.as_ref(), plan, &ctx);
+        // The default 20 s budget: a row kept in the wait would expire it.
+        let outcome = dispatch(&DispatchConfig::new(&dir), jobs, &ctx, None);
+        assert_eq!(outcome.completed, 0, "no record was published");
+        assert!(!outcome.timed_out, "unqueued rows leave the wait at once");
+        let report = Study::new(w.as_ref()).seeds(2).budget(1).run(&ctx);
+        let serial = Study::new(w.as_ref())
+            .seeds(2)
+            .budget(1)
+            .run(&RunContext::serial());
+        assert_eq!(report.render_text(), serial.render_text());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -776,8 +893,10 @@ mod tests {
         // An unwinding crash mid-row (drain's SIGTERM shape): the worker
         // must not leave its lease for timeout-based reclaim.
         let _arm = varbench_pipeline::faultpoint::arm_local("worker:mid-row:panic");
-        let crashed =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_worker(&cfg))).is_err();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_worker(&cfg, &no_rings())
+        }))
+        .is_err();
         assert!(crashed, "armed panic fired");
         assert!(
             lease::scan_leases(&dir).is_empty(),
@@ -789,7 +908,7 @@ mod tests {
             "job stays queued"
         );
         // A healthy successor claims the released lease and finishes.
-        let summary = run_worker(&cfg);
+        let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary.completed, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -813,7 +932,7 @@ mod tests {
         let mut cfg = WorkerConfig::new(&dir);
         cfg.serial = true;
         cfg.stop_file = Some(stop);
-        let summary = run_worker(&cfg);
+        let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary, WorkerSummary::default(), "exited without working");
         assert_eq!(scan_queue(&dir).len(), 1, "queue untouched");
         assert!(lease::scan_leases(&dir).is_empty(), "nothing claimed");
@@ -834,13 +953,11 @@ mod tests {
         claim(&dir, &id, "dead-worker").unwrap();
         let cfg = DispatchConfig {
             cache_dir: dir.clone(),
-            workers: 0,
-            exe: None,
             wait: Duration::from_millis(300),
             row_timeout: Duration::from_millis(50),
             poll: Duration::from_millis(10),
         };
-        let outcome = dispatch(&cfg, jobs, &ctx);
+        let outcome = dispatch(&cfg, jobs, &ctx, None);
         assert!(outcome.reclaims >= 1, "dead owner's lease reclaimed");
         assert!(outcome.timed_out, "nobody took the reclaimed lease over");
         let l = read_lease(&dir, &id).expect("lease survives for takeover");

@@ -25,7 +25,7 @@
 //!   `varbench_pipeline::Workload` to a finished variance report;
 //! * [`sample_size`] — Noether planning for `P(A > B)` tests (Fig. C.1);
 //! * [`retry`] — the bounded exponential-backoff [`retry::RetryPolicy`]
-//!   shared by the worker-fleet dispatch driver and the `query` client
+//!   shared by the worker-fleet supervisor and the `query` client
 //!   (pure `Duration` schedule; no wallclock reads);
 //! * [`json`] — a dependency-free JSON value model and parser (the
 //!   reading half of the serve protocol; [`report`] is the writing half);

@@ -1,7 +1,7 @@
 //! A bounded retry/backoff policy shared by every component that waits
-//! on another process: the fleet dispatch driver (waiting for workers to
-//! publish cache records) and the `varbench query` HTTP client (waiting
-//! for a server to accept connections).
+//! on another process: the worker supervisor (pacing respawns of dead
+//! workers) and the `varbench query` HTTP client (waiting for a server
+//! to accept connections).
 //!
 //! The policy is a *pure schedule*: given an attempt number it returns
 //! how long to pause before the next attempt, or `None` when the caller

@@ -93,10 +93,11 @@ mkdir -p "$chaosdir/solo" "$chaosdir/fleet"
 VARBENCH_CACHE_DIR="$chaosdir/solo" target/debug/varbench \
     study synthetic-ridge --test --seeds 4 --budget 3 --json \
     > "$chaosdir/solo.json" 2> /dev/null
-# Sharded run on a second fresh cache: four workers, and the kill1
-# sentinel guarantees exactly one of them aborts (kill -9 style) in the
-# middle of its first row. The driver must reclaim the dead lease,
-# re-dispatch, and emit byte-identical output.
+# Sharded run on a second fresh cache: a supervised fleet of four
+# workers, and the kill1 sentinel guarantees exactly one of them aborts
+# (kill -9 style) in the middle of its first row. The supervisor
+# respawns it, the driver must reclaim the dead lease, re-dispatch, and
+# emit byte-identical output.
 VARBENCH_CACHE_DIR="$chaosdir/fleet" \
     VARBENCH_FAULT="worker:mid-row:kill1=$chaosdir/killed" \
     target/debug/varbench \
@@ -111,6 +112,11 @@ if ! cmp -s "$chaosdir/solo.json" "$chaosdir/fleet.json"; then
     echo "ERROR: sharded study differs from the single-process run" >&2
     cat "$chaosdir/fleet.err" >&2
     diff "$chaosdir/solo.json" "$chaosdir/fleet.json" >&2 || true
+    exit 1
+fi
+# The study drained its fleet before exiting: no worker may outlive it.
+if pgrep -f "varbench worker" > /dev/null 2>&1; then
+    echo "ERROR: sharded study leaked worker processes" >&2
     exit 1
 fi
 # The dead worker's leftovers are gc-able garbage, never torn records.
@@ -255,6 +261,18 @@ echo "$bench_last"
 case "$bench_last" in
     '{"correct":true,'*) ;;
     *) echo "ERROR: the serve-warm benchmark run was not correct" >&2; exit 1 ;;
+esac
+
+say "benchmark smoke: serve-dispatch, every dispatched body and the fleet's hygiene checked"
+# Cold studies computed by a served 2-worker fleet. "correct":true means
+# every body matched its in-process reference, and no lease, queued job,
+# torn record or worker process was left behind.
+bench_last=$(CARGO_TARGET_DIR=target bash perfbench/run.sh \
+    --workload serve-dispatch --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$bench_last"
+case "$bench_last" in
+    '{"correct":true,'*) ;;
+    *) echo "ERROR: the serve-dispatch benchmark run was not correct" >&2; exit 1 ;;
 esac
 
 say "varbench lint (repo-invariant checker; hard gate)"
