@@ -8,11 +8,16 @@
 //!              [--json|--csv] [--out DIR] [--serial] [--no-cache]
 //!              [--threads N]
 //! varbench study <workload> [--seeds N] [--budget N] [--gamma G] ...
-//! varbench serve [--addr HOST:PORT] [--ready-file FILE]
-//! varbench query PATH [BODY] [--addr HOST:PORT]
+//! varbench serve [--addr HOST:PORT] [--ready-file FILE] [--workers N] ...
+//! varbench query PATH [BODY] [--addr HOST:PORT] ...
+//! varbench worker [--cache-dir DIR] [--drain] [--stop-file FILE] ...
+//! varbench bench [SUITE ...] [--quick] [--json] ...
 //! varbench cache stats|gc|clear
 //! varbench lint [--json|--list] [PATHS ...]
 //! ```
+//!
+//! Each subcommand declares the flags it accepts as a table and parses
+//! them with one `Args::parse` call; `varbench --help` prints them all.
 //!
 //! Artifacts share one measurement cache (persisted across runs when
 //! `VARBENCH_CACHE_DIR` is set) and are scheduled in parallel on the
@@ -22,15 +27,17 @@
 
 #![forbid(unsafe_code)]
 
-use varbench_bench::args::Effort;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use varbench_bench::args::{Args, Effort, Flag, EFFORT, EXEC};
 use varbench_bench::protocol::{json_envelope, parse_algo, parse_source, StudyRequest};
 use varbench_bench::registry::{self, RunContext, Spec};
-use varbench_bench::serve::{http_request, http_request_retry, ServeState, Server};
+use varbench_bench::serve::{self, http_request, http_request_retry, ServeState, Server};
 use varbench_bench::supervisor::{Supervisor, SupervisorConfig};
 use varbench_bench::timing::{parse_snapshot, BenchResult, Harness, Output};
 use varbench_bench::worker::{dispatch, run_worker, study_jobs, DispatchConfig, WorkerConfig};
 use varbench_bench::{suites, workloads};
-use varbench_core::exec::Runner;
 use varbench_core::report::Report;
 use varbench_core::retry::RetryPolicy;
 use varbench_pipeline::cache::{gc_dir, CACHE_DIR_ENV, CACHE_FORMAT_VERSION};
@@ -71,7 +78,8 @@ OPTIONS (study):
                                 drain as for serve; started only if the cache
                                 misses a row; worker output is discarded;
                                 needs VARBENCH_CACHE_DIR; output is
-                                byte-identical to an unsharded run)
+                                byte-identical to an unsharded run);
+                                0 computes in process
     --dispatch                  enqueue + wait for an external worker fleet
                                 (no subprocesses spawned); degrades to
                                 in-process computation if none shows up.
@@ -172,6 +180,85 @@ ENVIRONMENT:
 Run `varbench list` for artifact names and `varbench workloads` for the
 registered workloads (measure one with `varbench run workload-linear`).";
 
+/// The fleet pacing `study` and `serve` share (see [`dispatch_config`]).
+const DISPATCH: &[Flag] = &[
+    ("--wait-ms", Some("milliseconds")),
+    ("--row-timeout-ms", Some("milliseconds")),
+];
+
+// The flags each subcommand accepts, as `Args::parse` takes them.
+const RUN: &[&[Flag]] = &[
+    EFFORT,
+    EXEC,
+    &[
+        ("--filter", Some("a value")),
+        ("--json", None),
+        ("--csv", None),
+        ("--out", Some("a directory")),
+        ("--no-cache", None),
+    ],
+];
+const STUDY: &[&[Flag]] = &[
+    EFFORT,
+    EXEC,
+    DISPATCH,
+    &[
+        ("--seeds", Some("a count >= 2")),
+        ("--budget", Some("a trial count")),
+        ("--gamma", Some("a probability")),
+        ("--sources", Some("a comma-separated label list")),
+        ("--algo", Some("an algorithm name")),
+        ("--base-seed", Some("a seed")),
+        ("--name", Some("a report name")),
+        ("--json", None),
+        ("--addr", Some("HOST:PORT")),
+        ("--workers", Some("a worker count")),
+        ("--dispatch", None),
+    ],
+];
+const SERVE: &[&[Flag]] = &[
+    EXEC,
+    DISPATCH,
+    &[
+        ("--addr", Some("HOST:PORT")),
+        ("--ready-file", Some("a path")),
+        ("--handlers", Some("a count")),
+        ("--queue", Some("a depth")),
+        ("--workers", Some("a count")),
+        ("--max-respawns", Some("a count")),
+        ("--drain-ms", Some("milliseconds")),
+    ],
+];
+const WORKER: &[&[Flag]] = &[
+    EXEC,
+    &[
+        ("--cache-dir", Some("a directory")),
+        ("--id", Some("a name")),
+        ("--drain", None),
+        ("--stop-file", Some("a path")),
+        ("--poll-ms", Some("milliseconds")),
+        ("--idle-rounds", Some("a count")),
+    ],
+];
+const QUERY: &[&[Flag]] = &[&[
+    ("--addr", Some("HOST:PORT")),
+    ("--post", None),
+    ("--retries", Some("a count")),
+    ("--timeout-ms", Some("milliseconds")),
+]];
+const BENCH: &[&[Flag]] = &[&[
+    ("--quick", None),
+    ("--json", None),
+    ("--list", None),
+    ("--baseline", Some("a file")),
+    ("--max-regress", Some("a percentage")),
+]];
+const LINT: &[&[Flag]] = &[&[("--json", None), ("--list", None)]];
+const WORKLOADS: &[&[Flag]] = &[EFFORT];
+
+/// Where `serve` listens and `query` connects by default.
+const DEFAULT_ADDR: &str = "127.0.0.1:7878";
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
@@ -205,6 +292,48 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("run `varbench --help` for usage");
     std::process::exit(2);
+}
+
+/// Parses a subcommand's arguments, or exits with a usage error.
+fn parse(cmd: &str, tables: &[&[Flag]], args: &[String]) -> Args {
+    Args::parse(cmd, tables, args).unwrap_or_else(|e| fail(&e))
+}
+
+/// [`parse`] for a subcommand that takes no positional arguments.
+fn parse_flags(cmd: &str, tables: &[&[Flag]], args: &[String]) -> Args {
+    let a = parse(cmd, tables, args);
+    if let Some(extra) = a.positional.first() {
+        fail(&format!("unexpected argument '{extra}' after {cmd}"));
+    }
+    a
+}
+
+/// A flag's parsed value, or a usage-error exit.
+fn ok<T>(value: Result<T, String>) -> T {
+    value.unwrap_or_else(|e| fail(&e))
+}
+
+/// The duration a milliseconds flag was given.
+fn millis(a: &Args, flag: &str) -> Option<Duration> {
+    ok(a.get(flag)).map(Duration::from_millis)
+}
+
+/// The dispatch pacing [`DISPATCH`] sets, over the defaults.
+fn dispatch_config(a: &Args) -> DispatchConfig {
+    let d = DispatchConfig::default();
+    DispatchConfig {
+        wait: millis(a, "--wait-ms").unwrap_or(d.wait),
+        row_timeout: millis(a, "--row-timeout-ms").unwrap_or(d.row_timeout),
+        ..d
+    }
+}
+
+/// The cache directory `VARBENCH_CACHE_DIR` names, if it is set.
+fn env_cache_dir() -> Option<PathBuf> {
+    std::env::var(CACHE_DIR_ENV)
+        .ok()
+        .filter(|d| !d.is_empty())
+        .map(PathBuf::from)
 }
 
 fn main() {
@@ -254,15 +383,7 @@ fn list() {
 }
 
 fn list_workloads(args: &[String]) {
-    let mut effort = Effort::Quick;
-    for a in args {
-        match Effort::from_flag(a) {
-            Some(e) => effort = e,
-            None => fail(&format!(
-                "unknown argument '{a}' after workloads (expected --test, --quick, or --full)"
-            )),
-        }
-    }
+    let effort = parse_flags("workloads", WORKLOADS, args).effort();
     let mut t = varbench_core::report::Table::new(vec![
         "name".into(),
         "metric".into(),
@@ -291,7 +412,7 @@ fn list_workloads(args: &[String]) {
 /// The cache-owned `v<N>` record subdirectories under `dir` — the only
 /// paths `cache clear` is allowed to touch (the user may point
 /// `VARBENCH_CACHE_DIR` at a directory holding unrelated files).
-fn cache_version_dirs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+fn cache_version_dirs(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -312,21 +433,10 @@ fn cache_version_dirs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 /// checker (see `varbench_lint` for the catalogue). Exits 0 when clean,
 /// 1 when any diagnostic fires, 2 on usage errors.
 fn lint_command(args: &[String]) {
-    let mut json = false;
-    let mut list = false;
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--list" => list = true,
-            flag if flag.starts_with('-') => fail(&format!(
-                "unknown lint option '{flag}' (expected --json or --list)"
-            )),
-            path => paths.push(std::path::PathBuf::from(path)),
-        }
-    }
-    if list {
-        if json || !paths.is_empty() {
+    let a = parse("lint", LINT, args);
+    let json = a.has("--json");
+    if a.has("--list") {
+        if json || !a.positional.is_empty() {
             fail("--list takes no other arguments");
         }
         for info in varbench_lint::CATALOGUE {
@@ -339,12 +449,9 @@ fn lint_command(args: &[String]) {
         fail("not inside a varbench workspace (no root Cargo.toml with [workspace] found)");
     };
     // Relative PATHS are workspace-root-relative so diagnostics always
-    // print repo-relative locations regardless of the caller's cwd.
-    for p in &mut paths {
-        if p.is_relative() {
-            *p = root.join(&p);
-        }
-    }
+    // print repo-relative locations regardless of the caller's cwd
+    // (joining an absolute path yields that path).
+    let paths: Vec<PathBuf> = a.positional.iter().map(|p| root.join(p)).collect();
     let diags = match varbench_lint::check_paths(&root, &paths) {
         Ok(d) => d,
         Err(e) => fail(&format!("lint failed: {e}")),
@@ -375,10 +482,7 @@ fn cache_command(args: &[String]) {
             args[1], args[0]
         ));
     }
-    let dir = match std::env::var(CACHE_DIR_ENV) {
-        Ok(d) if !d.is_empty() => Some(std::path::PathBuf::from(d)),
-        _ => None,
-    };
+    let dir = env_cache_dir();
     match args.first().map(String::as_str) {
         Some("stats") => {
             let Some(dir) = dir else {
@@ -469,20 +573,9 @@ fn cache_command(args: &[String]) {
     }
 }
 
-/// Builds the execution context `serve`/`study` run against: executor
-/// knobs plus the (possibly disk-backed) shared measurement cache.
-fn build_ctx(serial: bool, threads: Option<usize>) -> RunContext {
-    let runner = match (serial, threads) {
-        (true, _) => Runner::serial(),
-        (false, Some(n)) => Runner::new(n),
-        (false, None) => Runner::from_env(),
-    };
-    RunContext::new(runner, MeasureCache::from_env())
-}
-
 /// How long a `study --workers` fleet may take to exit once the study's
 /// rows are in (the default `serve --drain-ms`).
-const FLEET_DRAIN: std::time::Duration = std::time::Duration::from_secs(2);
+const FLEET_DRAIN: Duration = Duration::from_secs(2);
 
 /// Starts a supervised worker fleet, or exits with a usage error.
 fn start_fleet(cfg: SupervisorConfig) -> Supervisor {
@@ -492,30 +585,12 @@ fn start_fleet(cfg: SupervisorConfig) -> Supervisor {
 /// Returns the shared cache directory a dispatching driver and its
 /// fleet coordinate through: both sides need a disk cache they can
 /// actually share.
-fn dispatch_cache_dir(ctx: &RunContext) -> std::path::PathBuf {
-    match ctx.cache().dir() {
-        Some(dir) => dir.to_path_buf(),
-        None => fail(&format!(
+fn dispatch_cache_dir(ctx: &RunContext) -> &Path {
+    ctx.cache().dir().unwrap_or_else(|| {
+        fail(&format!(
             "sharded dispatch needs a shared disk cache; set {CACHE_DIR_ENV} to a directory"
-        )),
-    }
-}
-
-/// One line of dispatch accounting on stderr (stdout stays reserved for
-/// the report, which must be byte-identical to an unsharded run).
-fn report_dispatch(outcome: &varbench_bench::worker::DispatchOutcome) {
-    eprintln!(
-        "dispatch: {} unit(s), {} already cached, {} fleet-completed, {} lease reclaim(s){}",
-        outcome.jobs,
-        outcome.satisfied_upfront,
-        outcome.completed,
-        outcome.reclaims,
-        if outcome.timed_out {
-            "; wait budget expired — computing the rest in-process"
-        } else {
-            ""
-        },
-    );
+        ))
+    })
 }
 
 fn resolve_addr(addr: &str) -> std::net::SocketAddr {
@@ -530,136 +605,38 @@ fn resolve_addr(addr: &str) -> std::net::SocketAddr {
 /// one executor and one measurement cache, so repeated and overlapping
 /// studies answer from warm matrices (see `varbench_bench::serve`).
 fn serve_command(args: &[String]) {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut serial = false;
-    let mut threads: Option<usize> = None;
-    let mut ready_file: Option<std::path::PathBuf> = None;
-    let mut handlers: Option<usize> = None;
-    let mut queue: Option<usize> = None;
-    let mut fleet_workers = 0usize;
-    let mut max_respawns = 4u32;
-    let mut drain_ms = 2_000u64;
-    let mut wait_ms: Option<u64> = None;
-    let mut row_timeout_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serial" => serial = true,
-            "--workers" => {
-                let v = it.next().unwrap_or_else(|| fail("--workers needs a count"));
-                fleet_workers = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid worker count '{v}'")));
-            }
-            "--max-respawns" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--max-respawns needs a count"));
-                max_respawns = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid respawn count '{v}'")));
-            }
-            "--drain-ms" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--drain-ms needs milliseconds"));
-                drain_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid drain budget '{v}'")));
-            }
-            "--wait-ms" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--wait-ms needs milliseconds"));
-                wait_ms = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid wait '{v}'"))),
-                );
-            }
-            "--row-timeout-ms" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--row-timeout-ms needs milliseconds"));
-                row_timeout_ms = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid timeout '{v}'"))),
-                );
-            }
-            "--addr" => {
-                addr = it
-                    .next()
-                    .unwrap_or_else(|| fail("--addr needs HOST:PORT"))
-                    .clone();
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--threads needs a number"));
-                threads = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid thread count '{v}'"))),
-                );
-            }
-            "--handlers" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--handlers needs a count"));
-                handlers = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid handler count '{v}'"))),
-                );
-            }
-            "--queue" => {
-                let v = it.next().unwrap_or_else(|| fail("--queue needs a depth"));
-                queue = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid queue depth '{v}'"))),
-                );
-            }
-            "--ready-file" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--ready-file needs a path"));
-                ready_file = Some(v.into());
-            }
-            other => fail(&format!("unknown serve argument '{other}'")),
-        }
-    }
-    let ctx = build_ctx(serial, threads);
+    let a = parse_flags("serve", SERVE, args);
+    let addr = a.str("--addr").unwrap_or(DEFAULT_ADDR);
+    let fleet_workers: usize = ok(a.get("--workers")).unwrap_or(0);
+    let max_respawns: u32 = ok(a.get("--max-respawns")).unwrap_or(4);
+    let handlers = ok(a.get("--handlers")).unwrap_or(serve::DEFAULT_HANDLERS);
+    let queue = ok(a.get("--queue")).unwrap_or(serve::DEFAULT_QUEUE);
+    let drain = millis(&a, "--drain-ms");
+    let dispatch = dispatch_config(&a);
+    let ctx = RunContext::new(ok(a.runner()), MeasureCache::from_env());
     let persistent = ctx.cache().is_persistent();
     // Fleet mode: supervise `--workers` child processes over the shared
     // disk cache so dispatched studies (`"dispatch": true`) compute in
     // the fleet. Same precondition as local sharding: a disk cache the
-    // children can see.
-    let fleet = if fleet_workers > 0 {
-        let dir = dispatch_cache_dir(&ctx);
-        let mut cfg = SupervisorConfig::new(dir, fleet_workers);
+    // children can see. Started only once every flag has parsed: `fail`
+    // exits without running destructors.
+    let fleet = (fleet_workers > 0).then(|| {
+        let mut cfg = SupervisorConfig::new(dispatch_cache_dir(&ctx), fleet_workers);
         // `--max-respawns M` = M respawns after the initial spawn.
-        cfg.respawn = RetryPolicy::new(max_respawns + 1)
-            .initial_backoff(std::time::Duration::from_millis(100))
-            .max_backoff(std::time::Duration::from_secs(2));
-        Some(start_fleet(cfg))
-    } else {
-        None
-    };
-    let mut state = ServeState::new(ctx);
+        cfg.respawn = RetryPolicy::new(max_respawns.saturating_add(1))
+            .initial_backoff(Duration::from_millis(100))
+            .max_backoff(Duration::from_secs(2));
+        start_fleet(cfg)
+    });
+    let mut state = ServeState::new(ctx).with_dispatch(dispatch);
     if let Some(sup) = fleet {
         state = state.with_fleet(sup);
     }
-    if wait_ms.is_some() || row_timeout_ms.is_some() {
-        state = state.with_dispatch_tuning(
-            std::time::Duration::from_millis(wait_ms.unwrap_or(20_000)),
-            std::time::Duration::from_millis(row_timeout_ms.unwrap_or(2_000)),
-        );
-    }
-    let mut server = Server::bind(&addr, state)
+    let mut server = Server::bind(addr, state)
         .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")))
-        .with_drain(std::time::Duration::from_millis(drain_ms));
-    if handlers.is_some() || queue.is_some() {
-        server = server.with_pool(
-            handlers.unwrap_or(varbench_bench::serve::DEFAULT_HANDLERS),
-            queue.unwrap_or(varbench_bench::serve::DEFAULT_QUEUE),
-        );
+        .with_pool(handlers, queue);
+    if let Some(drain) = drain {
+        server = server.with_drain(drain);
     }
     let local = server
         .local_addr()
@@ -678,11 +655,11 @@ fn serve_command(args: &[String]) {
              {max_respawns} respawn(s) each before quarantine"
         );
     }
-    if let Some(path) = ready_file {
+    if let Some(path) = a.str("--ready-file") {
         // Written only once the listener is live: a script that waits for
         // this file never races the bind.
-        if let Err(e) = std::fs::write(&path, format!("{local}\n")) {
-            fail(&format!("cannot write {}: {e}", path.display()));
+        if let Err(e) = std::fs::write(path, format!("{local}\n")) {
+            fail(&format!("cannot write {path}: {e}"));
         }
     }
     if let Err(e) = server.run() {
@@ -694,47 +671,17 @@ fn serve_command(args: &[String]) {
 /// `varbench query`: one HTTP exchange with a running server, body to
 /// stdout — the std-only curl stand-in used by scripts/ci.sh.
 fn query_command(args: &[String]) {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut post = false;
-    let mut retries = 0u32;
-    let mut timeout_ms = 60_000u64;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--post" => post = true,
-            "--addr" => {
-                addr = it
-                    .next()
-                    .unwrap_or_else(|| fail("--addr needs HOST:PORT"))
-                    .clone();
-            }
-            "--retries" => {
-                let v = it.next().unwrap_or_else(|| fail("--retries needs a count"));
-                retries = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid retry count '{v}'")));
-            }
-            "--timeout-ms" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--timeout-ms needs milliseconds"));
-                timeout_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid timeout '{v}'")));
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown query flag '{flag}'")),
-            _ => positional.push(a),
-        }
-    }
-    let Some(path) = positional.first() else {
-        fail("query needs an endpoint PATH (e.g. /v1/workloads)");
+    let a = parse("query", QUERY, args);
+    let addr = a.str("--addr").unwrap_or(DEFAULT_ADDR);
+    let retries: u32 = ok(a.get("--retries")).unwrap_or(0);
+    let budget = millis(&a, "--timeout-ms").unwrap_or(Duration::from_secs(60));
+    let (path, body) = match a.positional.as_slice() {
+        [] => fail("query needs an endpoint PATH (e.g. /v1/workloads)"),
+        [path] => (path, None),
+        [path, body] => (path, Some(body.as_str())),
+        _ => fail("query takes at most PATH and BODY"),
     };
-    if positional.len() > 2 {
-        fail("query takes at most PATH and BODY");
-    }
-    let body = positional.get(1).map(|s| s.as_str());
-    let method = if post || body.is_some() {
+    let method = if a.has("--post") || body.is_some() {
         "POST"
     } else {
         "GET"
@@ -743,15 +690,15 @@ fn query_command(args: &[String]) {
     // and never sleeping past the --timeout-ms budget in total. Transport
     // failures and 503 (server shedding or draining; Retry-After honored
     // up to the backoff cap) retry; any other HTTP status is final.
-    let policy = RetryPolicy::new(retries + 1).budget(std::time::Duration::from_millis(timeout_ms));
-    let (status, response) = http_request_retry(resolve_addr(&addr), method, path, body, &policy)
+    let policy = RetryPolicy::new(retries.saturating_add(1)).budget(budget);
+    let (status, response) = http_request_retry(resolve_addr(addr), method, path, body, &policy)
         .unwrap_or_else(|e| {
             // Exhausted transport retries is a runtime failure (exit 1),
             // not a usage error: scripts distinguish the two.
             eprintln!(
                 "error: request to {addr} failed after {} attempt(s): {e} \
                  (is `varbench serve` running there?)",
-                retries + 1
+                policy.attempts()
             );
             std::process::exit(1);
         });
@@ -793,73 +740,29 @@ fn stdin_rings() -> std::sync::mpsc::Receiver<()> {
 /// dispatching driver assembles into the final report (see
 /// `varbench_bench::worker` for the fault model).
 fn worker_command(args: &[String]) {
-    let mut cache_dir: Option<std::path::PathBuf> = match std::env::var(CACHE_DIR_ENV) {
-        Ok(d) if !d.is_empty() => Some(d.into()),
-        _ => None,
-    };
-    let mut serial = false;
-    let mut threads: Option<usize> = None;
-    let mut drain = false;
-    let mut poll_ms: Option<u64> = None;
-    let mut idle_rounds: Option<u32> = None;
-    let mut owner: Option<String> = None;
-    let mut stop_file: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str, what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs {what}")))
-                .clone()
-        };
-        match a.as_str() {
-            "--serial" => serial = true,
-            "--drain" => drain = true,
-            "--cache-dir" => cache_dir = Some(value("--cache-dir", "a directory").into()),
-            "--id" => owner = Some(value("--id", "a name")),
-            "--stop-file" => stop_file = Some(value("--stop-file", "a path").into()),
-            "--poll-ms" => {
-                let v = value("--poll-ms", "milliseconds");
-                poll_ms = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid poll interval '{v}'"))),
-                );
-            }
-            "--idle-rounds" => {
-                let v = value("--idle-rounds", "a count");
-                idle_rounds = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid round count '{v}'"))),
-                );
-            }
-            "--threads" => {
-                let v = value("--threads", "a number");
-                threads = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid thread count '{v}'"))),
-                );
-            }
-            other => fail(&format!("unknown worker argument '{other}'")),
-        }
-    }
-    let Some(cache_dir) = cache_dir else {
+    let a = parse_flags("worker", WORKER, args);
+    let Some(cache_dir) = a
+        .str("--cache-dir")
+        .map(PathBuf::from)
+        .or_else(env_cache_dir)
+    else {
         fail(&format!(
             "worker needs the fleet's shared cache directory (--cache-dir or {CACHE_DIR_ENV})"
         ));
     };
     let mut cfg = WorkerConfig::new(cache_dir);
-    cfg.drain = drain;
-    cfg.serial = serial;
-    cfg.threads = threads;
-    if let Some(ms) = poll_ms {
-        cfg.poll = std::time::Duration::from_millis(ms);
+    cfg.drain = a.has("--drain");
+    cfg.runner = ok(a.runner());
+    if let Some(poll) = millis(&a, "--poll-ms") {
+        cfg.poll = poll;
     }
-    if let Some(n) = idle_rounds {
+    if let Some(n) = ok(a.get("--idle-rounds")) {
         cfg.idle_rounds = n;
     }
-    if let Some(name) = owner {
-        cfg.owner = name;
+    if let Some(name) = a.str("--id") {
+        cfg.owner = name.to_string();
     }
-    cfg.stop_file = stop_file;
+    cfg.stop_file = a.str("--stop-file").map(PathBuf::from);
     let summary = run_worker(&cfg, &stdin_rings());
     // stderr only: a worker's stdout must never pollute a driver's
     // report stream.
@@ -873,167 +776,72 @@ fn worker_command(args: &[String]) {
 /// locally in-process, or (with --addr) on a running `varbench serve`,
 /// with byte-identical JSON either way.
 fn study_command(args: &[String]) {
-    let mut workload: Option<String> = None;
-    let mut effort = Effort::Quick;
-    let mut sources: Option<Vec<varbench_pipeline::VarianceSource>> = None;
-    let mut seeds: Option<usize> = None;
-    let mut base_seed: Option<u64> = None;
-    let mut budget: Option<usize> = None;
-    let mut algo: Option<varbench_pipeline::HpoAlgorithm> = None;
-    let mut gamma: Option<f64> = None;
-    let mut name: Option<String> = None;
-    let mut json = false;
-    let mut serial = false;
-    let mut threads: Option<usize> = None;
-    let mut remote: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut dispatch_only = false;
-    let mut wait_ms: Option<u64> = None;
-    let mut row_timeout_ms: Option<u64> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str, what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs {what}")))
-                .clone()
-        };
-        match a.as_str() {
-            "--json" => json = true,
-            "--serial" => serial = true,
-            "--dispatch" => dispatch_only = true,
-            "--addr" => remote = Some(value("--addr", "HOST:PORT")),
-            "--workers" => {
-                let v = value("--workers", "a worker count");
-                workers = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid worker count '{v}'"))),
-                );
-            }
-            "--wait-ms" => {
-                let v = value("--wait-ms", "milliseconds");
-                wait_ms = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid wait '{v}'"))),
-                );
-            }
-            "--row-timeout-ms" => {
-                let v = value("--row-timeout-ms", "milliseconds");
-                row_timeout_ms = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid timeout '{v}'"))),
-                );
-            }
-            "--name" => name = Some(value("--name", "a report name")),
-            "--seeds" => {
-                let v = value("--seeds", "a count >= 2");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid seed count '{v}'")));
-                if n < 2 {
-                    fail("a variance study needs at least 2 seeds");
-                }
-                seeds = Some(n);
-            }
-            "--budget" => {
-                let v = value("--budget", "a trial count");
-                budget = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid budget '{v}'"))),
-                );
-            }
-            "--base-seed" => {
-                let v = value("--base-seed", "a seed");
-                base_seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid seed '{v}'"))),
-                );
-            }
-            "--threads" => {
-                let v = value("--threads", "a number");
-                threads = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid thread count '{v}'"))),
-                );
-            }
-            "--gamma" => {
-                let v = value("--gamma", "a probability");
-                let g: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid gamma '{v}'")));
-                if !(g > 0.0 && g < 1.0) || (g - 0.5).abs() <= 1e-9 {
-                    fail("--gamma must be in (0, 1) and differ from 0.5");
-                }
-                gamma = Some(g);
-            }
-            "--sources" => {
-                let v = value("--sources", "a comma-separated label list");
-                let parsed: Vec<_> = v
-                    .split(',')
-                    .map(|label| {
-                        parse_source(label.trim()).unwrap_or_else(|| {
-                            fail(&format!(
-                                "unknown variance source '{label}' (see `varbench workloads`)"
-                            ))
-                        })
-                    })
-                    .collect();
-                sources = Some(parsed);
-            }
-            "--algo" => {
-                let v = value("--algo", "an algorithm name");
-                algo = Some(parse_algo(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown algorithm '{v}' (expected 'Random Search', 'Grid Search', \
-                         'Noisy Grid Search', or 'Bayes Opt')"
-                    ))
-                }));
-            }
-            flag if Effort::from_flag(flag).is_some() => {
-                effort = Effort::from_flag(flag).expect("checked");
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown study flag '{flag}'")),
-            positional => {
-                if workload.is_some() {
-                    fail(&format!(
-                        "study takes one workload, got extra '{positional}'"
-                    ));
-                }
-                workload = Some(positional.to_string());
-            }
-        }
-    }
-    let Some(workload) = workload else {
-        fail("study needs a workload name (run `varbench workloads` for the registry)");
+    let a = parse("study", STUDY, args);
+    let workload = match a.positional.as_slice() {
+        [workload] => workload.clone(),
+        [] => fail("study needs a workload name (run `varbench workloads` for the registry)"),
+        [_, extra, ..] => fail(&format!("study takes one workload, got extra '{extra}'")),
     };
+    let seeds: Option<usize> = ok(a.get("--seeds"));
+    if seeds.is_some_and(|n| n < 2) {
+        fail("a variance study needs at least 2 seeds");
+    }
+    let gamma: Option<f64> = ok(a.get("--gamma"));
+    if gamma.is_some_and(|g| !(g > 0.0 && g < 1.0) || (g - 0.5).abs() <= 1e-9) {
+        fail("--gamma must be in (0, 1) and differ from 0.5");
+    }
+    let sources = a.str("--sources").map(|labels| {
+        labels
+            .split(',')
+            .map(|label| {
+                parse_source(label.trim()).unwrap_or_else(|| {
+                    fail(&format!(
+                        "unknown variance source '{label}' (see `varbench workloads`)"
+                    ))
+                })
+            })
+            .collect()
+    });
+    let algo = a.str("--algo").map(|name| {
+        parse_algo(name).unwrap_or_else(|| {
+            fail(&format!(
+                "unknown algorithm '{name}' (expected 'Random Search', 'Grid Search', \
+                 'Noisy Grid Search', or 'Bayes Opt')"
+            ))
+        })
+    });
+    // `--workers 0` starts no fleet and computes in process, as for serve.
+    let workers = ok(a.get("--workers")).filter(|&n: &usize| n > 0);
+    let dcfg = dispatch_config(&a);
+    let runner = ok(a.runner());
     let req = StudyRequest {
         workload,
-        effort,
+        effort: a.effort(),
         sources,
         seeds,
-        base_seed,
-        budget,
+        base_seed: ok(a.get("--base-seed")),
+        budget: ok(a.get("--budget")),
         algo,
         gamma,
-        name,
+        name: a.str("--name").map(String::from),
         // Locally, --dispatch routes through the lease queue below; with
         // --addr it rides in the request body and the *server's* fleet
         // computes the rows (the response bytes are identical either way).
-        dispatch: dispatch_only,
+        dispatch: a.has("--dispatch"),
     };
 
-    if let Some(addr) = remote {
-        if serial || threads.is_some() {
+    if let Some(addr) = a.str("--addr") {
+        if a.has("--serial") || a.has("--threads") {
             fail("--serial/--threads are local knobs; the server owns remote execution");
         }
-        if workers.is_some() {
+        if a.has("--workers") {
             fail("--workers spawns subprocesses locally over the cache dir; drop --addr");
         }
-        if wait_ms.is_some() || row_timeout_ms.is_some() {
+        if a.has("--wait-ms") || a.has("--row-timeout-ms") {
             fail("--wait-ms/--row-timeout-ms tune local dispatch; the server owns its own");
         }
         let (status, response) = http_request(
-            resolve_addr(&addr),
+            resolve_addr(addr),
             "POST",
             "/v1/study",
             Some(&req.to_json()),
@@ -1052,22 +860,15 @@ fn study_command(args: &[String]) {
         return;
     }
 
-    let ctx = build_ctx(serial, threads);
+    let ctx = RunContext::new(runner, MeasureCache::from_env());
 
     // Sharded path: enqueue the study's measurement plan for a worker
     // fleet, wait (with reclaim of stalled rows), then fall through to
     // the normal in-process run below — which assembles the report from
     // the now-warm shared cache, computing only what the fleet did not
     // deliver. The report bytes are identical either way.
-    if workers.is_some() || dispatch_only {
+    if workers.is_some() || req.dispatch {
         let dir = dispatch_cache_dir(&ctx);
-        let mut dcfg = DispatchConfig::new(&dir);
-        if let Some(ms) = wait_ms {
-            dcfg.wait = std::time::Duration::from_millis(ms);
-        }
-        if let Some(ms) = row_timeout_ms {
-            dcfg.row_timeout = std::time::Duration::from_millis(ms);
-        }
         let w = req.find_workload().unwrap_or_else(|e| fail(&e));
         let study = req.configure(w.as_ref()).unwrap_or_else(|e| fail(&e));
         let jobs = study_jobs(&req.workload, req.effort, w.as_ref(), study.plan(), &ctx);
@@ -1079,15 +880,15 @@ fn study_command(args: &[String]) {
             .iter()
             .any(|dj| ctx.cache().probe_rows(&dj.probe.0) < dj.probe.1);
         let fleet = workers
-            .filter(|&n| n > 0 && !dispatch_only && cold)
-            .map(|n| start_fleet(SupervisorConfig::new(&dir, n)));
-        report_dispatch(&dispatch(&dcfg, jobs, &ctx, fleet.as_ref()));
+            .filter(|_| !req.dispatch && cold)
+            .map(|n| start_fleet(SupervisorConfig::new(dir, n)));
+        eprintln!("dispatch: {}", dispatch(&dcfg, jobs, &ctx, fleet.as_ref()));
         if let Some(sup) = fleet {
             sup.shutdown(FLEET_DRAIN);
         }
     }
 
-    if json {
+    if a.has("--json") {
         match req.run_json(&ctx) {
             Ok(body) => print!("{body}"),
             Err(e) => fail(&e),
@@ -1104,59 +905,34 @@ fn study_command(args: &[String]) {
 /// the medians against a committed `BENCH_*.json` snapshot — the shipped
 /// binary reproduces the perf trajectory without cargo.
 fn bench_command(args: &[String]) {
-    let mut selected: Vec<&str> = Vec::new();
-    let mut quick = false;
-    let mut json = false;
-    let mut baseline: Option<std::path::PathBuf> = None;
-    let mut max_regress = 25.0_f64;
-    let mut max_regress_set = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--list" => {
-                for (name, _) in suites::SUITES {
-                    println!("{name}");
-                }
-                return;
-            }
-            "--baseline" => {
-                let v = it.next().unwrap_or_else(|| fail("--baseline needs a file"));
-                baseline = Some(v.into());
-            }
-            "--max-regress" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--max-regress needs a percentage"));
-                max_regress = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid percentage '{v}'")));
-                if max_regress <= 0.0 || max_regress.is_nan() {
-                    fail("--max-regress must be > 0");
-                }
-                max_regress_set = true;
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown flag '{flag}'")),
-            name => selected.push(name),
+    let a = parse("bench", BENCH, args);
+    if a.has("--list") {
+        for (name, _) in suites::SUITES {
+            println!("{name}");
         }
+        return;
     }
-    for name in &selected {
+    let selected = &a.positional;
+    for name in selected {
         if suites::find(name).is_none() {
             fail(&format!(
                 "unknown suite '{name}' (run `varbench bench --list`)"
             ));
         }
     }
-    if max_regress_set && baseline.is_none() {
+    let max_regress = ok(a.get("--max-regress")).unwrap_or(25.0_f64);
+    if max_regress <= 0.0 || max_regress.is_nan() {
+        fail("--max-regress must be > 0");
+    }
+    let baseline = a.str("--baseline").map(Path::new);
+    if a.has("--max-regress") && baseline.is_none() {
         fail("--max-regress needs --baseline (no gate would run otherwise)");
     }
-
+    let (quick, json) = (a.has("--quick"), a.has("--json"));
     let output = if json { Output::Stderr } else { Output::Stdout };
     let mut results: Vec<BenchResult> = Vec::new();
     for &(name, body) in suites::SUITES {
-        if !selected.is_empty() && !selected.contains(&name) {
+        if !selected.is_empty() && !selected.iter().any(|s| s == name) {
             continue;
         }
         let mut h = if quick {
@@ -1174,7 +950,7 @@ fn bench_command(args: &[String]) {
     }
 
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
         let base = parse_snapshot(&text)
             .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
@@ -1232,54 +1008,21 @@ fn bench_command(args: &[String]) {
 }
 
 fn run(args: &[String]) {
-    let mut names: Vec<&str> = Vec::new();
-    let mut effort = Effort::Quick;
-    let mut filter: Option<String> = None;
-    let mut format = Format::Text;
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut serial = false;
-    let mut no_cache = false;
-    let mut threads: Option<usize> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => format = Format::Json,
-            "--csv" => format = Format::Csv,
-            "--serial" => serial = true,
-            "--no-cache" => no_cache = true,
-            "--filter" => {
-                let v = it.next().unwrap_or_else(|| fail("--filter needs a value"));
-                filter = Some(v.clone());
-            }
-            "--out" => {
-                let v = it.next().unwrap_or_else(|| fail("--out needs a directory"));
-                out_dir = Some(v.into());
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--threads needs a number"));
-                threads = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("invalid thread count '{v}'"))),
-                );
-            }
-            flag if Effort::from_flag(flag).is_some() => {
-                effort = Effort::from_flag(flag).expect("checked");
-            }
-            flag if flag.starts_with('-') => {
-                fail(&format!("unknown flag '{flag}'"));
-            }
-            name => names.push(name),
-        }
-    }
+    let a = parse("run", RUN, args);
+    let effort = a.effort();
+    let format = match a.last(&["--json", "--csv"]) {
+        Some("--json") => Format::Json,
+        Some("--csv") => Format::Csv,
+        _ => Format::Text,
+    };
+    let runner = ok(a.runner());
 
     // Resolve the artifact selection.
+    let names = &a.positional;
     if names.is_empty() {
         fail("run needs at least one artifact name (or 'all')");
     }
-    let mut specs: Vec<&'static Spec> = if names == ["all"] {
+    let mut specs: Vec<&'static Spec> = if *names == ["all"] {
         registry::all().iter().collect()
     } else {
         names
@@ -1293,18 +1036,14 @@ fn run(args: &[String]) {
             })
             .collect()
     };
-    if let Some(f) = &filter {
-        specs.retain(|s| s.name.contains(f.as_str()));
+    if let Some(f) = a.str("--filter") {
+        specs.retain(|s| s.name.contains(f));
         if specs.is_empty() {
             fail(&format!("--filter {f} matched no artifacts"));
         }
     }
 
-    let runner = match (serial, threads) {
-        (true, _) => Runner::serial(),
-        (false, Some(n)) => Runner::new(n),
-        (false, None) => Runner::from_env(),
-    };
+    let no_cache = a.has("--no-cache");
     // --no-cache: each artifact gets its own throwaway in-memory cache,
     // so nothing is shared across artifacts or persisted — but the batch
     // is still scheduled in parallel, intra-artifact memoization (e.g.
@@ -1340,8 +1079,8 @@ fn run(args: &[String]) {
     }
 
     // Emit.
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Some(dir) = a.str("--out").map(Path::new) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             fail(&format!("cannot create {}: {e}", dir.display()));
         }
         for report in &reports {
@@ -1375,6 +1114,67 @@ fn run(args: &[String]) {
                 }
                 print!("{}", report.to_csv());
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every subcommand's flag tables, with how many flags it accepts.
+    const COMMANDS: &[(&str, &[&[Flag]], usize)] = &[
+        ("run", RUN, 10),
+        ("study", STUDY, 18),
+        ("serve", SERVE, 11),
+        ("worker", WORKER, 8),
+        ("query", QUERY, 4),
+        ("bench", BENCH, 5),
+        ("lint", LINT, 2),
+        ("workloads", WORKLOADS, 3),
+    ];
+
+    fn names(tables: &[&[Flag]]) -> Vec<&'static str> {
+        tables.iter().flat_map(|t| t.iter()).map(|f| f.0).collect()
+    }
+
+    /// Every `--flag` USAGE mentions.
+    fn usage_flags() -> Vec<&'static str> {
+        USAGE
+            .match_indices("--")
+            .map(|(i, _)| {
+                let rest = &USAGE[i + 2..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                &USAGE[i..i + 2 + end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_the_flag_tables_agree() {
+        let usage = usage_flags();
+        let accepted: Vec<&str> = COMMANDS.iter().flat_map(|c| names(c.1)).collect();
+        for flag in &accepted {
+            assert!(usage.contains(flag), "{flag} is accepted but not in USAGE");
+        }
+        for flag in &usage {
+            assert!(
+                accepted.contains(flag),
+                "USAGE lists {flag}, which nothing accepts"
+            );
+        }
+    }
+
+    #[test]
+    fn each_subcommand_accepts_its_flags_once() {
+        for &(cmd, tables, count) in COMMANDS {
+            let mut flags = names(tables);
+            flags.sort_unstable();
+            flags.dedup();
+            assert_eq!(flags.len(), names(tables).len(), "{cmd} repeats a flag");
+            assert_eq!(flags.len(), count, "{cmd} accepts {flags:?}");
         }
     }
 }

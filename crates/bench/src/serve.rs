@@ -68,7 +68,7 @@ use std::time::Duration;
 use crate::protocol::{RunRequest, StudyRequest};
 use crate::registry;
 use crate::supervisor::Supervisor;
-use crate::worker;
+use crate::worker::{self, DispatchConfig};
 use crate::workloads;
 use varbench_core::ctx::RunContext;
 use varbench_core::json::Json;
@@ -115,8 +115,7 @@ pub const DEFAULT_QUEUE: usize = 32;
 pub struct ServeState {
     ctx: RunContext,
     fleet: Option<Supervisor>,
-    dispatch_wait: Duration,
-    dispatch_row_timeout: Duration,
+    dispatch: DispatchConfig,
 }
 
 impl ServeState {
@@ -128,8 +127,7 @@ impl ServeState {
         ServeState {
             ctx,
             fleet: None,
-            dispatch_wait: Duration::from_millis(20_000),
-            dispatch_row_timeout: Duration::from_millis(2_000),
+            dispatch: DispatchConfig::default(),
         }
     }
 
@@ -143,9 +141,8 @@ impl ServeState {
     /// Overrides the dispatch pacing: total wait budget before the
     /// in-process fallback, and the per-row stall timeout after which a
     /// held lease is reclaimed.
-    pub fn with_dispatch_tuning(mut self, wait: Duration, row_timeout: Duration) -> ServeState {
-        self.dispatch_wait = wait;
-        self.dispatch_row_timeout = row_timeout;
+    pub fn with_dispatch(mut self, dispatch: DispatchConfig) -> ServeState {
+        self.dispatch = dispatch;
         self
     }
 
@@ -303,31 +300,17 @@ fn ready_body(state: &ServeState) -> (u16, String) {
 /// bytes.
 fn run_study_dispatched(state: &ServeState, req: &StudyRequest) -> Result<String, String> {
     let ctx = state.ctx();
-    let Some(dir) = ctx.cache().dir() else {
+    if !ctx.cache().is_persistent() {
         return Err(
             "dispatch needs a disk-backed cache: restart serve with VARBENCH_CACHE_DIR set".into(),
         );
-    };
+    }
     let workload = req.find_workload()?;
     let plan = req.configure(workload.as_ref())?.plan();
     let jobs = worker::study_jobs(&req.workload, req.effort, workload.as_ref(), plan, ctx);
     faultpoint("serve:mid-dispatch");
-    let mut dcfg = worker::DispatchConfig::new(dir);
-    dcfg.wait = state.dispatch_wait;
-    dcfg.row_timeout = state.dispatch_row_timeout;
-    let outcome = worker::dispatch(&dcfg, jobs, ctx, state.fleet());
-    eprintln!(
-        "serve dispatch: {} unit(s), {} already cached, {} fleet-completed, {} lease reclaim(s){}",
-        outcome.jobs,
-        outcome.satisfied_upfront,
-        outcome.completed,
-        outcome.reclaims,
-        if outcome.timed_out {
-            "; wait budget expired — computing the rest in-process"
-        } else {
-            ""
-        }
-    );
+    let outcome = worker::dispatch(&state.dispatch, jobs, ctx, state.fleet());
+    eprintln!("serve dispatch: {outcome}");
     req.run_json(ctx)
 }
 
@@ -1226,8 +1209,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("varbench-dispatch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
-        let s = ServeState::new(ctx)
-            .with_dispatch_tuning(Duration::from_millis(100), Duration::from_millis(50));
+        let s = ServeState::new(ctx).with_dispatch(DispatchConfig {
+            wait: Duration::from_millis(100),
+            row_timeout: Duration::from_millis(50),
+            ..Default::default()
+        });
         let req = r#"{"workload":"synthetic-ridge","effort":"test","seeds":3,"dispatch":true}"#;
         let (status, served) = route(&s, "POST", "/v1/study", req);
         assert_eq!(status, 200, "{served}");

@@ -180,10 +180,8 @@ pub struct WorkerConfig {
     /// Exit as soon as the queue is empty instead of waiting
     /// `idle_rounds` polls for more work to appear.
     pub drain: bool,
-    /// Run measurements single-threaded.
-    pub serial: bool,
-    /// Worker thread count (`None`: `VARBENCH_THREADS` or all cores).
-    pub threads: Option<usize>,
+    /// The executor measurements run on.
+    pub runner: Runner,
     /// Cooperative-drain sentinel: the worker exits (between jobs, never
     /// mid-row) as soon as this path exists. How a supervisor stops a
     /// long-lived fleet without signals.
@@ -199,8 +197,7 @@ impl WorkerConfig {
             poll: Duration::from_millis(100),
             idle_rounds: 20,
             drain: true,
-            serial: false,
-            threads: None,
+            runner: Runner::from_env(),
             stop_file: None,
         }
     }
@@ -215,16 +212,6 @@ pub struct WorkerSummary {
     pub satisfied: u64,
     /// Jobs with unreadable or unexecutable payloads (left queued).
     pub skipped: u64,
-}
-
-/// Builds the execution context a worker computes in.
-fn worker_ctx(cfg: &WorkerConfig) -> RunContext {
-    let runner = match (cfg.serial, cfg.threads) {
-        (true, _) => Runner::serial(),
-        (false, Some(n)) => Runner::new(n),
-        (false, None) => Runner::from_env(),
-    };
-    RunContext::new(runner, MeasureCache::with_dir(&cfg.cache_dir))
 }
 
 /// Whether `job`'s output is already in the cache (the fast path that
@@ -298,7 +285,7 @@ fn stop_requested(cfg: &WorkerConfig) -> bool {
 /// torn payload is skipped, not a crash — robustness means the fleet
 /// outlives any single bad job).
 pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
-    let ctx = worker_ctx(cfg);
+    let ctx = RunContext::new(cfg.runner, MeasureCache::with_dir(&cfg.cache_dir));
     let dir = cfg.cache_dir.as_path();
     let mut summary = WorkerSummary::default();
     let mut idle = 0u32;
@@ -391,8 +378,6 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
 /// in-process computation.
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
-    /// The shared cache directory.
-    pub cache_dir: PathBuf,
     /// Total wall budget to wait on the fleet before computing whatever
     /// is missing in-process. Tracked by summing the pauses actually
     /// slept (no wall clock is read).
@@ -405,12 +390,10 @@ pub struct DispatchConfig {
     pub poll: Duration,
 }
 
-impl DispatchConfig {
-    /// A driver over `cache_dir` with defaults sized for CI-scale
-    /// studies.
-    pub fn new(cache_dir: impl Into<PathBuf>) -> DispatchConfig {
+impl Default for DispatchConfig {
+    /// Pacing sized for CI-scale studies.
+    fn default() -> DispatchConfig {
         DispatchConfig {
-            cache_dir: cache_dir.into(),
             wait: Duration::from_millis(20_000),
             row_timeout: Duration::from_millis(2_000),
             // A pass is a stat, a cache probe and a lease read per
@@ -441,6 +424,22 @@ pub struct DispatchOutcome {
     pub timed_out: bool,
 }
 
+impl std::fmt::Display for DispatchOutcome {
+    /// The one-line accounting a driver prints on stderr (stdout stays
+    /// reserved for the report, byte-identical to an unsharded run).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} unit(s), {} already cached, {} fleet-completed, {} lease reclaim(s)",
+            self.jobs, self.satisfied_upfront, self.completed, self.reclaims
+        )?;
+        if self.timed_out {
+            f.write_str("; wait budget expired — computing the rest in-process")?;
+        }
+        Ok(())
+    }
+}
+
 /// One dispatchable unit: its lease id, payload, and the cache probe
 /// that signals completion.
 pub struct DispatchJob {
@@ -462,31 +461,35 @@ struct Tracked {
     stalled: Duration,
 }
 
-/// Dispatches `jobs` to a worker fleet over `cfg.cache_dir` and waits —
-/// with reclaim on stalled leases — until every unit is satisfied or the
-/// wait budget expires. With a supervised `fleet`, its workers are rung
+/// Dispatches `jobs` to a worker fleet over the disk cache of
+/// `probe_ctx` and waits — with reclaim on stalled leases — until every
+/// unit is satisfied or the wait budget expires. With a supervised `fleet`, its workers are rung
 /// after the enqueue and after each reclaim, so they start at once;
 /// without one, an external fleet picks the jobs up on its own polls.
 /// On return (either way), leftover queue files for missing units are
 /// cancelled; the caller then runs its study in-process against the
 /// warm cache, which computes only what the fleet did not deliver.
 ///
-/// `probe_ctx` is only used to probe the cache for published records.
+/// `probe_ctx` is only used to find the cache directory and probe it
+/// for published records. Without a disk cache there is no queue a
+/// fleet could see, so nothing is dispatched.
 pub fn dispatch(
     cfg: &DispatchConfig,
     jobs: Vec<DispatchJob>,
     probe_ctx: &RunContext,
     fleet: Option<&Supervisor>,
 ) -> DispatchOutcome {
-    let dir = cfg.cache_dir.as_path();
+    let mut outcome = DispatchOutcome {
+        jobs: jobs.len(),
+        ..DispatchOutcome::default()
+    };
+    let Some(dir) = probe_ctx.cache().dir() else {
+        return outcome;
+    };
     let ring = || {
         if let Some(sup) = fleet {
             sup.wake();
         }
-    };
-    let mut outcome = DispatchOutcome {
-        jobs: jobs.len(),
-        ..DispatchOutcome::default()
     };
     let mut tracked: Vec<Tracked> = Vec::new();
     for dj in jobs {
@@ -670,7 +673,7 @@ mod tests {
             enqueue(&dir, key.canon(), &job.render()).unwrap();
         }
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary.completed as usize, plan.len());
         assert_eq!(summary.skipped, 0);
@@ -705,7 +708,7 @@ mod tests {
             enqueue(&dir, key.canon(), &job.render()).unwrap();
         }
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary.satisfied as usize, plan.len());
         assert_eq!(summary.completed, 0, "nothing recomputed");
@@ -723,7 +726,6 @@ mod tests {
         let jobs = study_jobs("synthetic-ridge", effort, w.as_ref(), plan.clone(), &ctx);
         assert_eq!(jobs.len(), plan.len());
         let cfg = DispatchConfig {
-            cache_dir: dir.clone(),
             wait: Duration::from_millis(100),
             row_timeout: Duration::from_millis(50),
             poll: Duration::from_millis(10),
@@ -752,6 +754,37 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_without_a_disk_cache_dispatches_nothing() {
+        let effort = Effort::Test;
+        let ctx = RunContext::serial();
+        let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
+        let plan = plan_for("synthetic-ridge", effort, 2);
+        let jobs = study_jobs("synthetic-ridge", effort, w.as_ref(), plan, &ctx);
+        // The default 20 s budget: any wait would expire it.
+        let outcome = dispatch(&DispatchConfig::default(), jobs, &ctx, None);
+        assert_eq!((outcome.satisfied_upfront, outcome.completed), (0, 0));
+        assert!(!outcome.timed_out);
+    }
+
+    #[test]
+    fn the_outcome_line_keeps_the_shape_scripts_parse() {
+        let mut outcome = DispatchOutcome {
+            jobs: 4,
+            satisfied_upfront: 1,
+            completed: 2,
+            reclaims: 3,
+            timed_out: false,
+        };
+        let line = "4 unit(s), 1 already cached, 2 fleet-completed, 3 lease reclaim(s)";
+        assert_eq!(outcome.to_string(), line);
+        outcome.timed_out = true;
+        assert_eq!(
+            outcome.to_string(),
+            format!("{line}; wait budget expired — computing the rest in-process")
+        );
+    }
+
+    #[test]
     fn a_rung_worker_takes_new_work_at_once_and_exits_on_stop_file_and_ring() {
         let dir = scratch("rung");
         let effort = Effort::Test;
@@ -766,7 +799,7 @@ mod tests {
         };
         let stop = dir.join("stop");
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         cfg.drain = false;
         cfg.idle_rounds = u32::MAX;
         // No idle wait may end on its own within the test.
@@ -813,7 +846,7 @@ mod tests {
         };
         enqueue(&dir, "queued-before-the-hangup", &job.render()).unwrap();
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         cfg.drain = false;
         cfg.idle_rounds = u32::MAX;
         // Neither idleness nor a poll may end the run within the test.
@@ -862,7 +895,7 @@ mod tests {
         let plan = plan_for("synthetic-ridge", effort, 2);
         let jobs = study_jobs("synthetic-ridge", effort, w.as_ref(), plan, &ctx);
         // The default 20 s budget: a row kept in the wait would expire it.
-        let outcome = dispatch(&DispatchConfig::new(&dir), jobs, &ctx, None);
+        let outcome = dispatch(&DispatchConfig::default(), jobs, &ctx, None);
         assert_eq!(outcome.completed, 0, "no record was published");
         assert!(!outcome.timed_out, "unqueued rows leave the wait at once");
         let report = Study::new(w.as_ref()).seeds(2).budget(1).run(&ctx);
@@ -889,7 +922,7 @@ mod tests {
         };
         enqueue(&dir, key.canon(), &job.render()).unwrap();
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         // An unwinding crash mid-row (drain's SIGTERM shape): the worker
         // must not leave its lease for timeout-based reclaim.
         let _arm = varbench_pipeline::faultpoint::arm_local("worker:mid-row:panic");
@@ -930,7 +963,7 @@ mod tests {
         let stop = dir.join("stop");
         std::fs::write(&stop, b"drain\n").unwrap();
         let mut cfg = WorkerConfig::new(&dir);
-        cfg.serial = true;
+        cfg.runner = Runner::serial();
         cfg.stop_file = Some(stop);
         let summary = run_worker(&cfg, &no_rings());
         assert_eq!(summary, WorkerSummary::default(), "exited without working");
@@ -952,7 +985,6 @@ mod tests {
         enqueue(&dir, &id, &jobs[0].job.render()).unwrap();
         claim(&dir, &id, "dead-worker").unwrap();
         let cfg = DispatchConfig {
-            cache_dir: dir.clone(),
             wait: Duration::from_millis(300),
             row_timeout: Duration::from_millis(50),
             poll: Duration::from_millis(10),

@@ -42,14 +42,32 @@ fi
 # The two non-MLP workloads must produce variance reports end to end.
 target/release/varbench run workload-linear workload-synth --test > /dev/null
 target/release/varbench cache stats
-# Unknown flags must fail fast (the --ful typo regression), and so must
-# the two removed run options.
-for flags in "--ful" "--test --par-bootstrap" "--test --workers 2"; do
-    if target/release/varbench run fig1 $flags >/dev/null 2>&1; then
-        echo "ERROR: varbench run fig1 accepted '$flags'" >&2
+# Usage errors must exit 2, not just fail (a panic exits 101): unknown
+# flags (the --ful typo regression, the two removed run options) and
+# flags missing their value, for every subcommand that takes flags. Each
+# case fails at parsing: none binds a port, starts a worker or computes.
+while read -r cmd; do
+    status=0
+    target/release/varbench $cmd >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "ERROR: varbench $cmd exited $status, not 2" >&2
         exit 1
     fi
-done
+done <<'EOF'
+run fig1 --ful
+run fig1 --test --par-bootstrap
+run fig1 --test --workers 2
+run fig1 --threads
+study synthetic-ridge --sedes 3
+study synthetic-ridge --seeds
+serve --bogus
+serve --addr
+worker --bogus
+query /health --retries
+bench --bogus
+lint --bogus
+workloads --ful
+EOF
 
 say "varbench serve: loopback smoke (serve <-> CLI byte-identity)"
 servedir="$scratch/serve"
