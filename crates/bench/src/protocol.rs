@@ -286,12 +286,16 @@ impl StudyRequest {
                 .iter()
                 .any(|s| !s.is_hyperopt() && workload.active_sources().contains(s));
             if !usable {
+                // `sources` selects ξ_O rows only: list those, and point
+                // at `budget` for the ξ_H row rather than listing it.
                 return Err(format!(
-                    "no requested source is active for \"{}\" (active: {})",
+                    "no requested source is active for \"{}\" (sources can select: {}; \
+                     the hyperopt row is requested with \"budget\", CLI --budget)",
                     self.workload,
                     workload
                         .active_sources()
                         .iter()
+                        .filter(|s| !s.is_hyperopt())
                         .map(|s| s.label())
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -494,6 +498,30 @@ mod tests {
         assert!(
             err.contains("data_split"),
             "error lists active sources: {err}"
+        );
+    }
+
+    #[test]
+    fn requesting_hyperopt_as_a_source_points_at_the_budget() {
+        // ξ_H is not a `sources` entry: the rejection must not list it as
+        // selectable, and must name the field that does request it.
+        let req = StudyRequest::from_json(&parse(
+            r#"{"workload":"linear-logreg","effort":"test","sources":["hyperopt"]}"#,
+        ))
+        .unwrap();
+        let err = req.run(&RunContext::serial()).unwrap_err();
+        assert!(err.contains("no requested source is active"), "{err}");
+        assert!(
+            err.contains("sources can select: data_split, weights_init, data_order;"),
+            "{err}"
+        );
+        assert!(
+            !err.contains("hyperopt,") && !err.contains(", hyperopt"),
+            "{err}"
+        );
+        assert!(
+            err.contains("\"budget\"") && err.contains("--budget"),
+            "{err}"
         );
     }
 

@@ -65,8 +65,22 @@ impl Augment for GaussianJitter {
         if self.sigma == 0.0 {
             return;
         }
-        for xi in x {
-            *xi += rng.normal(0.0, self.sigma);
+        jitter(x, self.sigma, rng);
+    }
+}
+
+/// Adds an `N(0, sigma²)` deviate to every coordinate of `x`, in order.
+///
+/// The deviates are drawn a stack chunk at a time with
+/// [`Rng::fill_normal`], so they are the bits one `normal` call per
+/// coordinate would add, and the augmentation stays heap-free.
+fn jitter(x: &mut [f64], sigma: f64, rng: &mut Rng) {
+    let mut eps = [0.0; 64];
+    for chunk in x.chunks_mut(eps.len()) {
+        let eps = &mut eps[..chunk.len()];
+        rng.fill_normal(0.0, sigma, eps);
+        for (xi, e) in chunk.iter_mut().zip(eps.iter()) {
+            *xi += e;
         }
     }
 }
@@ -116,9 +130,7 @@ impl Augment for FlipJitter {
             }
         }
         if self.sigma > 0.0 {
-            for xi in x.iter_mut() {
-                *xi += rng.normal(0.0, self.sigma);
-            }
+            jitter(x, self.sigma, rng);
         }
     }
 }

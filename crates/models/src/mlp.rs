@@ -225,9 +225,10 @@ pub struct Mlp {
 ///
 /// Built once per [`Mlp::train`] call, before the epoch loop; after that
 /// warm-up the epoch loop performs **zero heap allocations** — every
-/// forward activation, dropout mask, backprop delta, gradient accumulator
-/// and momentum buffer lives here and is reused in place (verified by the
-/// allocation-count test in `tests/alloc_count.rs`).
+/// staged input, forward activation, dropout mask, backprop delta,
+/// gradient accumulator, gradient-noise deviate and momentum buffer lives
+/// here and is reused in place (verified by the allocation-count test in
+/// `tests/alloc_count.rs`, with and without dropout, noise and jitter).
 struct TrainWorkspace {
     /// Staged (augmented) inputs, `batch × in_dim` example-major.
     xb: Vec<f64>,
@@ -244,6 +245,10 @@ struct TrainWorkspace {
     /// because interleaving RNG draws with the forward kernels spills the
     /// generator state on every burst.
     masks: Vec<Vec<f64>>,
+    /// Gradient-noise deviates, drawn in one batch for a layer's weights
+    /// and then for its biases just before their update loops read them
+    /// (see `train_batch`). Sized to the largest weight matrix.
+    noise: Vec<f64>,
     /// Gradient accumulators (same shapes as weights/biases).
     gw: Vec<Vec<f64>>,
     gb: Vec<Vec<f64>>,
@@ -337,6 +342,12 @@ impl Mlp {
                     .iter()
                     .map(|&d| vec![1.0; d * b])
                     .collect()
+            } else {
+                Vec::new()
+            },
+            // Likewise, without gradient noise the deviate buffer is never read.
+            noise: if train.grad_noise > 0.0 {
+                vec![0.0; model.layers.iter().map(|l| l.w.len()).max().unwrap_or(0)]
             } else {
                 Vec::new()
             },
@@ -581,15 +592,20 @@ impl Mlp {
 
         // SGD update with momentum, weight decay, and optional noise. The
         // noise branch is hoisted out of the elementwise loops so the
-        // (common) noiseless path autovectorizes; per-element arithmetic
-        // and the noise-draw order match the seed loop exactly.
+        // (common) noiseless path autovectorizes. With noise, each update
+        // loop first draws its deviates in one `fill_normal` call, one per
+        // weight and then one per bias: the stream order, and the bits, of
+        // one `normal` draw per element inside the loops.
         let scale = 1.0 / batch.len() as f64;
         for (l, layer) in self.layers.iter_mut().enumerate() {
             let (gw, vw) = (&ws.gw[l], &mut ws.vw[l]);
             if train.grad_noise > 0.0 {
-                for ((w, &g0), v) in layer.w.iter_mut().zip(gw).zip(vw.iter_mut()) {
-                    let mut g = g0 * scale + train.weight_decay * *w;
-                    g += seeds.noise.normal(0.0, train.grad_noise);
+                let noise = &mut ws.noise[..layer.w.len()];
+                seeds.noise.fill_normal(0.0, train.grad_noise, noise);
+                for (((w, &g0), v), &e) in
+                    layer.w.iter_mut().zip(gw).zip(vw.iter_mut()).zip(&*noise)
+                {
+                    let g = g0 * scale + train.weight_decay * *w + e;
                     let vn = train.momentum * *v - lr * g;
                     *v = vn;
                     *w += vn;
@@ -604,9 +620,12 @@ impl Mlp {
             }
             let (gb, vb) = (&ws.gb[l], &mut ws.vb[l]);
             if train.grad_noise > 0.0 {
-                for ((b, &g0), v) in layer.b.iter_mut().zip(gb).zip(vb.iter_mut()) {
-                    let mut g = g0 * scale;
-                    g += seeds.noise.normal(0.0, train.grad_noise);
+                let noise = &mut ws.noise[..layer.b.len()];
+                seeds.noise.fill_normal(0.0, train.grad_noise, noise);
+                for (((b, &g0), v), &e) in
+                    layer.b.iter_mut().zip(gb).zip(vb.iter_mut()).zip(&*noise)
+                {
+                    let g = g0 * scale + e;
                     let vn = train.momentum * *v - lr * g;
                     *v = vn;
                     *b += vn;

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use varbench_data::augment::Identity;
+use varbench_data::augment::{Augment, GaussianJitter, Identity};
 use varbench_data::synth::{binary_overlap, BinaryOverlapConfig};
 use varbench_models::{Mlp, MlpConfig, TrainConfig, TrainSeeds};
 use varbench_rng::{Rng, SeedTree};
@@ -52,11 +52,12 @@ fn train_alloc_count(
     cfg: &MlpConfig,
     tc: &TrainConfig,
     ds: &varbench_data::Dataset,
+    augment: &dyn Augment,
     seed: u64,
 ) -> u64 {
     let mut seeds = TrainSeeds::from_tree(&SeedTree::new(seed));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let model = Mlp::train(cfg, tc, ds, &Identity, &mut seeds);
+    let model = Mlp::train(cfg, tc, ds, augment, &mut seeds);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     // Keep the model alive through the second read so its drop (which
     // only frees) cannot reorder into the window.
@@ -65,8 +66,13 @@ fn train_alloc_count(
 }
 
 /// Asserts that adding 10 epochs adds zero heap allocations for the
-/// given architecture/optimizer combination.
-fn assert_epoch_loop_heap_silent(cfg: &MlpConfig, base: &TrainConfig, ds: &varbench_data::Dataset) {
+/// given architecture/optimizer/augmentation combination.
+fn assert_epoch_loop_heap_silent(
+    cfg: &MlpConfig,
+    base: &TrainConfig,
+    ds: &varbench_data::Dataset,
+    augment: &dyn Augment,
+) {
     let short = TrainConfig {
         epochs: 2,
         ..base.clone()
@@ -75,13 +81,13 @@ fn assert_epoch_loop_heap_silent(cfg: &MlpConfig, base: &TrainConfig, ds: &varbe
         epochs: 12,
         ..base.clone()
     };
-    let short_allocs = train_alloc_count(cfg, &short, ds, 7);
-    let long_allocs = train_alloc_count(cfg, &long, ds, 7);
+    let short_allocs = train_alloc_count(cfg, &short, ds, augment, 7);
+    let long_allocs = train_alloc_count(cfg, &long, ds, augment, 7);
     assert!(short_allocs > 0, "setup must allocate the workspace");
     assert_eq!(
         short_allocs, long_allocs,
         "10 extra epochs must add zero heap allocations for {:?} \
-         (epoch loop is not allocation-free)",
+         with {augment:?} (epoch loop is not allocation-free)",
         cfg.hidden
     );
 }
@@ -105,7 +111,7 @@ fn epoch_loop_allocates_nothing_after_warmup() {
         dropout: 0.2,
         ..Default::default()
     };
-    train_alloc_count(&MlpConfig::default(), &warm, &ds, 7);
+    train_alloc_count(&MlpConfig::default(), &warm, &ds, &Identity, 7);
 
     // Dropout on: the mask path must be allocation-free too.
     assert_epoch_loop_heap_silent(
@@ -115,13 +121,19 @@ fn epoch_loop_allocates_nothing_after_warmup() {
             ..Default::default()
         },
         &ds,
+        &Identity,
     );
 
     // Dropout off: the batched GEMM phases alone — forward through
     // `gemm_rows_into`/`gemm_transb_into`, the strided `gemm_col_nz_into`
     // gradient pass, and the dense below-delta fast path all run inside
     // this window and must stay heap-silent.
-    assert_epoch_loop_heap_silent(&MlpConfig::default(), &TrainConfig::default(), &ds);
+    assert_epoch_loop_heap_silent(
+        &MlpConfig::default(),
+        &TrainConfig::default(),
+        &ds,
+        &Identity,
+    );
 
     // Deeper and wider: two hidden layers exercise the hidden-to-hidden
     // sparse backward path (ReLU-gated deltas) plus every example-block
@@ -138,5 +150,22 @@ fn epoch_loop_allocates_nothing_after_warmup() {
             ..Default::default()
         },
         &ds,
+        &Identity,
+    );
+
+    // The noisy path: pascalvoc-resnet's gradient noise (batched draws
+    // into the workspace's noise buffer, for every weight and bias) and
+    // cifar10-vgg11's input jitter (stack-chunked draws per staged row).
+    assert_epoch_loop_heap_silent(
+        &MlpConfig {
+            hidden: vec![24, 12],
+            ..Default::default()
+        },
+        &TrainConfig {
+            grad_noise: 3e-4,
+            ..Default::default()
+        },
+        &ds,
+        &GaussianJitter::new(0.3),
     );
 }

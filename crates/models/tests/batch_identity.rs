@@ -10,7 +10,7 @@
 //! independent example chains, never reorder the accumulation of a
 //! single output element.
 
-use varbench_data::augment::Identity;
+use varbench_data::augment::{Augment, FlipJitter, GaussianJitter, Identity};
 use varbench_data::synth::{
     binary_overlap, binding_regression, mask_task, BinaryOverlapConfig, BindingConfig,
     MaskTaskConfig,
@@ -311,5 +311,59 @@ fn linear_batched_paths_match_per_example_bitwise() {
                 "ridge n={n} si={si}"
             );
         }
+    }
+}
+
+/// FNV-1a over the bits of every training-set logit.
+fn logit_digest(mlp: &Mlp, ds: &Dataset) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for i in 0..ds.len() {
+        for z in mlp.logits(ds.x(i)) {
+            for byte in z.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn noisy_training_with_jitter_reproduces_its_pinned_logits() {
+    // The stochastic training path end to end: gradient noise on every
+    // weight and bias of both hidden layers and the head (pascalvoc's
+    // 3e-4), per-feature input jitter (cifar's 0.3; 70 features cross a
+    // 64-draw chunk) and a 10-example tail batch (90 % 16). The digests
+    // pin one `normal` draw per element in stream order: any change to a
+    // deviate's bits or to the order of the draws fails here.
+    let mut data_rng = Rng::seed_from_u64(16);
+    let ds = binary_overlap(
+        &BinaryOverlapConfig {
+            n: 90,
+            dim: 70,
+            separation: 1.5,
+            ..Default::default()
+        },
+        &mut data_rng,
+    );
+    let cfg = MlpConfig {
+        hidden: vec![24, 9],
+        ..Default::default()
+    };
+    let train = TrainConfig {
+        epochs: 3,
+        batch_size: 16,
+        grad_noise: 3e-4,
+        ..Default::default()
+    };
+    let cases: [(&dyn Augment, u64); 2] = [
+        (&GaussianJitter::new(0.3), 0xffb9_aad9_e485_4dc2),
+        (&FlipJitter::new(0.5, -0.2, 0.3), 0x2da0_f11f_81a7_93c8),
+    ];
+    for (augment, want) in cases {
+        let mut seeds = TrainSeeds::from_tree(&SeedTree::new(27));
+        let mlp = Mlp::train(&cfg, &train, &ds, augment, &mut seeds);
+        let got = logit_digest(&mlp, &ds);
+        assert_eq!(got, want, "{augment:?}: digest {got:#018x}");
     }
 }

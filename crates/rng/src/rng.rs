@@ -153,11 +153,9 @@ impl Rng {
     /// Uses the Marsaglia polar method; exact to `f64` precision.
     pub fn standard_normal(&mut self) -> f64 {
         loop {
-            let u = 2.0 * self.next_f64() - 1.0;
-            let v = 2.0 * self.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
+            let (u, s) = self.polar_candidate();
+            if polar_accepts(s) {
+                return polar_deviate(u, s);
             }
         }
     }
@@ -170,6 +168,48 @@ impl Rng {
     pub fn normal(&mut self, mean: f64, std: f64) -> f64 {
         assert!(std >= 0.0, "normal requires std >= 0");
         mean + std * self.standard_normal()
+    }
+
+    /// Fills `out` with normal deviates of the given `mean` and `std`.
+    ///
+    /// Writes bit for bit what `out.len()` calls to [`Rng::normal`] would
+    /// return, and leaves the generator in the same state. It works in
+    /// chunks of 64 and two passes. The first draws polar candidates in
+    /// stream order and keeps the accepted ones with a branch-free
+    /// cursor. The second transforms them with no branch, so the
+    /// independent `ln`, divide and sqrt calls overlap instead of each
+    /// waiting behind a rejection test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `std < 0`.
+    // lint: no-alloc
+    pub fn fill_normal(&mut self, mean: f64, std: f64, out: &mut [f64]) {
+        assert!(std >= 0.0, "normal requires std >= 0");
+        let mut s_buf = [0.0; 64];
+        for chunk in out.chunks_mut(s_buf.len()) {
+            let s = &mut s_buf[..chunk.len()];
+            // A rejected candidate is overwritten by the next one, exactly
+            // as `standard_normal`'s loop discards it.
+            let mut k = 0;
+            while k < chunk.len() {
+                let (u, sk) = self.polar_candidate();
+                chunk[k] = u;
+                s[k] = sk;
+                k += usize::from(polar_accepts(sk));
+            }
+            for (x, &sk) in chunk.iter_mut().zip(s.iter()) {
+                *x = mean + std * polar_deviate(*x, sk);
+            }
+        }
+    }
+
+    /// Draws one polar-method candidate: `u` and `s = u² + v²` for `u`, `v`
+    /// uniform in `[-1, 1)`.
+    fn polar_candidate(&mut self) -> (f64, f64) {
+        let u = 2.0 * self.next_f64() - 1.0;
+        let v = 2.0 * self.next_f64() - 1.0;
+        (u, u * u + v * v)
     }
 
     /// Returns an exponential deviate with rate `lambda`.
@@ -306,6 +346,17 @@ impl Rng {
         idx.truncate(k);
         idx
     }
+}
+
+/// The polar method keeps a candidate inside the open unit disc, minus
+/// its centre.
+fn polar_accepts(s: f64) -> bool {
+    s > 0.0 && s < 1.0
+}
+
+/// The polar method's standard normal deviate for an accepted candidate.
+fn polar_deviate(u: f64, s: f64) -> f64 {
+    u * (-2.0 * s.ln() / s).sqrt()
 }
 
 #[cfg(test)]

@@ -110,3 +110,38 @@ fn split_streams_diverge() {
         assert_ne!(xs, ys);
     });
 }
+
+#[test]
+fn fill_normal_is_normal_in_a_loop_bit_for_bit() {
+    // The chunk edges (63, 64, 65, 129) first, then random lengths; every
+    // fourth case has std = 0.
+    const EDGES: [usize; 6] = [0, 1, 63, 64, 65, 129];
+    sweep("fill_normal_is_normal_in_a_loop_bit_for_bit", 96, |case| {
+        let seed = case.u64_in(0, u64::MAX);
+        let mean = case.f64_in(-10.0, 10.0);
+        let std = if case.index() % 4 == 3 {
+            0.0
+        } else {
+            case.f64_in(0.0, 5.0)
+        };
+        let len = match EDGES.get(case.index()) {
+            Some(&len) => len,
+            None => case.usize_in(0, 301),
+        };
+        let mut batched = Rng::seed_from_u64(seed);
+        let mut looped = batched.clone();
+        let mut out = vec![f64::NAN; len];
+        batched.fill_normal(mean, std, &mut out);
+        for (i, &x) in out.iter().enumerate() {
+            let want = looped.normal(mean, std);
+            assert_eq!(x.to_bits(), want.to_bits(), "len {len}, deviate {i}");
+        }
+        assert_eq!(batched.next_u64(), looped.next_u64(), "len {len}: stream");
+    });
+}
+
+#[test]
+#[should_panic(expected = "normal requires std >= 0")]
+fn fill_normal_rejects_a_negative_std() {
+    Rng::seed_from_u64(1).fill_normal(0.0, -1.0, &mut [0.0; 3]);
+}

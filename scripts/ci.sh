@@ -268,11 +268,24 @@ case "$gc_out" in
     *) echo "ERROR: server crash left torn records" >&2; exit 1 ;;
 esac
 
+say "benchmark smoke: reproduce, every in-process render checked"
+# A short reproduce run of the end-to-end benchmark (perfbench/): all 15
+# artifacts at --test on nproc threads and a fresh cache per op, in a
+# seeded artifact order. "correct":true means every op's render matched
+# the serial, uncached one. Building into target/ reuses the release
+# binary the steps above tested.
+bench_last=$(CARGO_TARGET_DIR=target bash perfbench/run.sh \
+    --workload reproduce --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$bench_last"
+case "$bench_last" in
+    '{"correct":true,'*) ;;
+    *) echo "ERROR: the reproduce benchmark run was not correct" >&2; exit 1 ;;
+esac
+
 say "benchmark smoke: serve-warm, every served body checked"
-# A short serve-warm run of the end-to-end benchmark (perfbench/). Its
-# last stdout line reports "correct":true only when every served study,
-# listing and run body matched its in-process reference. Building into
-# target/ reuses the release binary the steps above tested.
+# A short serve-warm run. Its last stdout line reports "correct":true only
+# when every served study, listing and run body matched its in-process
+# reference.
 bench_last=$(CARGO_TARGET_DIR=target bash perfbench/run.sh \
     --workload serve-warm --seed 1 --seconds 3 --trace 0 | tail -n 1)
 echo "$bench_last"
