@@ -5,10 +5,18 @@
 //! more often than they are computed. This module turns the one-shot CLI
 //! into a long-running service — a bounded pool of handler threads fed
 //! by a fixed-capacity accept queue, where every request runs against
-//! **one** [`RunContext`], so the `MeasureCache` answers warm requests
-//! instantly from memory or disk, schedules only the missing matrix
-//! delta for cold ones, and coalesces concurrent identical requests
-//! into a single computation.
+//! **one** [`RunContext`], so the `MeasureCache` answers a first request
+//! for already-measured matrices from memory or disk, schedules only the
+//! missing matrix delta for cold ones, and coalesces concurrent
+//! identical requests into a single computation.
+//!
+//! A *repeated* request does not get that far: the `200` answers of the
+//! routes whose body is a pure function of the request (`/v1/study`,
+//! `/v1/run` and the two listings) are kept in a response memo bounded
+//! by 64 KiB of key plus body bytes, keyed by the method, path and body
+//! bytes as received, and replayed without parsing, key building, cache
+//! lookup or rendering. Replay is exact by the bit-identity rule below;
+//! `GET /v1/cache/stats` counts it as `replayed`.
 //!
 //! When every handler is busy and the queue is full, new connections
 //! are **shed** with `503 Service Unavailable` instead of being read:
@@ -23,7 +31,7 @@
 //! | `GET /v1/ready` | — | readiness: fleet health, 503 when all quarantined |
 //! | `GET /v1/workloads` | — | registered workload names + sources |
 //! | `GET /v1/artifacts` | — | registry artifact names |
-//! | `GET /v1/cache/stats` | — | cache hit/miss/coalescing counters |
+//! | `GET /v1/cache/stats` | — | cache hit/miss/coalescing counters, memo replays |
 //! | `POST /v1/run` | [`RunRequest`] | `varbench-report/1` envelope |
 //! | `POST /v1/study` | [`StudyRequest`] | `varbench-report/1` envelope |
 //! | `POST /v1/shutdown` | — | acks, then drains and stops |
@@ -59,10 +67,11 @@
 //! `Duration`s); it is deterministic in its inputs like everything else
 //! in the workspace.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::protocol::{RunRequest, StudyRequest};
@@ -107,15 +116,75 @@ pub const DEFAULT_HANDLERS: usize = 8;
 /// beyond the ones being served; past this, connections are shed).
 pub const DEFAULT_QUEUE: usize = 32;
 
+/// Bound on the response memo: key plus body bytes of every stored
+/// answer. A warm benchmark pool of seven test studies, the workload
+/// listing and a test run (≈8.3 KB with keys) fits seven times over.
+const MEMO_BYTES: usize = 64 * 1024;
+
 /// Shared server state: the one execution context every request runs
 /// against (sharing the context is the entire point — it is what makes
 /// request N answerable from the matrices requests 1..N-1 computed),
-/// plus the optional supervised worker fleet behind `"dispatch": true`
-/// studies.
+/// the response memo that replays repeated requests, plus the optional
+/// supervised worker fleet behind `"dispatch": true` studies.
 pub struct ServeState {
     ctx: RunContext,
     fleet: Option<Supervisor>,
     dispatch: DispatchConfig,
+    memo: Mutex<ResponseMemo>,
+}
+
+/// The `200` answers of the replayable routes, keyed by the request as
+/// received (see [`memo_key`]). Holds at most [`MEMO_BYTES`] of key plus
+/// body bytes and evicts the oldest insert first; a hit does not reorder
+/// entries. An answer whose key plus body alone exceeds the bound is
+/// never stored.
+#[derive(Default)]
+struct ResponseMemo {
+    entries: BTreeMap<Arc<str>, Arc<str>>,
+    /// The keys of `entries`, oldest insert first: the eviction order.
+    order: VecDeque<Arc<str>>,
+    /// Key plus body bytes held in `entries`.
+    bytes: usize,
+    /// Requests answered from `entries`.
+    replayed: u64,
+}
+
+impl ResponseMemo {
+    /// The stored answer for `key`, counted as replayed.
+    fn replay(&mut self, key: &str) -> Option<Arc<str>> {
+        let hit = Arc::clone(self.entries.get(key)?);
+        self.replayed += 1;
+        Some(hit)
+    }
+
+    /// Stores `body` under `key`, evicting the oldest entries until it
+    /// fits. Two concurrent identical misses both get here: the first
+    /// insert wins.
+    fn insert(&mut self, key: String, body: &str) {
+        let size = key.len() + body.len();
+        if size > MEMO_BYTES || self.entries.contains_key(key.as_str()) {
+            return;
+        }
+        while self.bytes + size > MEMO_BYTES {
+            let oldest = self.order.pop_front().expect("stored bytes have an entry");
+            let evicted = self
+                .entries
+                .remove(&oldest)
+                .expect("order lists stored keys");
+            self.bytes -= oldest.len() + evicted.len();
+        }
+        let key: Arc<str> = key.into();
+        self.entries.insert(Arc::clone(&key), body.into());
+        self.order.push_back(key);
+        self.bytes += size;
+    }
+}
+
+/// The memo key of a request: method, path and body bytes as received,
+/// never re-rendered, so a hit parses nothing. Only fixed method and
+/// path pairs reach the memo, so the first newline ends the prefix.
+fn memo_key(method: &str, path: &str, body: &str) -> String {
+    [method, " ", path, "\n", body].concat()
 }
 
 impl ServeState {
@@ -128,6 +197,7 @@ impl ServeState {
             ctx,
             fleet: None,
             dispatch: DispatchConfig::default(),
+            memo: Mutex::default(),
         }
     }
 
@@ -155,12 +225,45 @@ impl ServeState {
     pub fn fleet(&self) -> Option<&Supervisor> {
         self.fleet.as_ref()
     }
+
+    fn memo(&self) -> MutexGuard<'_, ResponseMemo> {
+        self.memo.lock().expect("response memo poisoned")
+    }
 }
 
 /// Dispatches one parsed request to its handler — the pure core of the
 /// server (no sockets), so tests and benches drive it directly.
 /// Returns `(status, body)`; bodies are JSON and newline-terminated.
+///
+/// A request to `POST /v1/study`, `POST /v1/run`, `GET /v1/workloads`
+/// or `GET /v1/artifacts` whose method, path and body bytes match an
+/// earlier `200` answer still in the memo gets those bytes back without
+/// being parsed; a repeated `"dispatch": true` study enqueues nothing.
+/// Every other request, and every answer that is not a `200`, runs
+/// fresh.
 pub fn route(state: &ServeState, method: &str, path: &str, body: &str) -> (u16, String) {
+    let replayable = matches!(
+        (method, path),
+        ("POST", "/v1/study" | "/v1/run") | ("GET", "/v1/workloads" | "/v1/artifacts")
+    );
+    if !replayable {
+        return route_fresh(state, method, path, body);
+    }
+    let key = memo_key(method, path, body);
+    // The lock is held to clone the entry's `Arc`, not to copy its bytes.
+    let hit = state.memo().replay(&key);
+    if let Some(hit) = hit {
+        return (200, hit.to_string());
+    }
+    let (status, answer) = route_fresh(state, method, path, body);
+    if status == 200 {
+        state.memo().insert(key, &answer);
+    }
+    (status, answer)
+}
+
+/// [`route`] without the memo.
+fn route_fresh(state: &ServeState, method: &str, path: &str, body: &str) -> (u16, String) {
     match (method, path) {
         ("GET", "/health") => (200, "{\"ok\":true}\n".into()),
         ("GET", "/v1/ready") => ready_body(state),
@@ -245,13 +348,16 @@ fn artifacts_body() -> String {
     format!("{{\"artifacts\":[{}]}}\n", items.join(","))
 }
 
+/// `GET /v1/cache/stats`: the `MeasureCache` counters, then `replayed`,
+/// the requests the response memo answered (those never reach the
+/// cache, so they move no other counter).
 fn cache_stats_body(state: &ServeState) -> String {
     let s = state.ctx().cache().stats();
     format!(
         "{{\"full_hits\":{},\"extensions\":{},\"misses\":{},\"rows_computed\":{},\
          \"rows_served\":{},\"records_computed\":{},\"records_served\":{},\
          \"record_fits_computed\":{},\"disk_loads\":{},\"coalesced\":{},\
-         \"persistent\":{}}}\n",
+         \"replayed\":{},\"persistent\":{}}}\n",
         s.full_hits,
         s.extensions,
         s.misses,
@@ -262,6 +368,7 @@ fn cache_stats_body(state: &ServeState) -> String {
         s.record_fits_computed,
         s.disk_loads,
         s.coalesced,
+        state.memo().replayed,
         state.ctx().cache().is_persistent(),
     )
 }
@@ -335,16 +442,18 @@ enum ReadOutcome {
     Failed(u16, String),
 }
 
-/// Reads and parses one HTTP/1.x request. The caller sets the read
-/// timeout for the *first* byte (the keep-alive idle window); once
-/// request bytes start arriving this switches to the per-read
+/// Reads and parses one HTTP/1.x request. `buf` is the connection's
+/// read buffer: it starts with whatever the client sent past the
+/// previous request (a pipelining client's next request), and keeps
+/// what arrives past this one's body for the next call. The caller sets
+/// the read timeout for the *first* byte (the keep-alive idle window);
+/// once request bytes start arriving this switches to the per-read
 /// [`REQUEST_READ`] deadline.
-fn read_request(stream: &mut TcpStream) -> ReadOutcome {
+fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReadOutcome {
     use ReadOutcome::Failed;
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
+        if let Some(i) = find_head_end(buf) {
             break i;
         }
         // No terminator yet, so the head is at least `buf.len() - 3`
@@ -405,15 +514,16 @@ fn read_request(stream: &mut TcpStream) -> ReadOutcome {
     if content_length > MAX_BODY {
         return Failed(413, error_body("request body too large"));
     }
-    let mut body_bytes = buf[head_end + 4..].to_vec();
-    while body_bytes.len() < content_length {
+    let end = head_end + 4 + content_length;
+    while buf.len() < end {
         match stream.read(&mut chunk) {
             Ok(0) => return Failed(400, error_body("connection closed mid-body")),
-            Ok(n) => body_bytes.extend_from_slice(&chunk[..n]),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) => return Failed(408, error_body(&format!("read failed: {e}"))),
         }
     }
-    body_bytes.truncate(content_length);
+    let body_bytes = buf[head_end + 4..end].to_vec();
+    buf.drain(..end);
     let body = match String::from_utf8(body_bytes) {
         Ok(body) => body,
         Err(_) => return Failed(400, error_body("request body is not UTF-8")),
@@ -490,17 +600,19 @@ fn render_response(status: u16, body: &str, close: bool) -> String {
 fn handle_connection(mut stream: TcpStream, state: &ServeState) -> bool {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut shutdown = false;
+    let mut buf: Vec<u8> = Vec::with_capacity(1024);
     for served in 0..MAX_KEEPALIVE_REQUESTS {
-        // First request: a whole request-read window. Afterwards: the
-        // shorter keep-alive idle window, so a silent client returns
-        // this handler to the pool quickly.
-        let idle = if served == 0 {
+        // First request, or one already arriving (pipelined bytes left
+        // in `buf`): a whole request-read window. Otherwise the shorter
+        // keep-alive idle window, so a silent client returns this
+        // handler to the pool quickly.
+        let idle = if served == 0 || !buf.is_empty() {
             REQUEST_READ
         } else {
             KEEPALIVE_IDLE
         };
         let _ = stream.set_read_timeout(Some(idle));
-        match read_request(&mut stream) {
+        match read_request(&mut stream, &mut buf) {
             ReadOutcome::Request(req) => {
                 // A panicking handler (a bug, or a workload assert) must
                 // kill one response, not the server.
@@ -1232,6 +1344,202 @@ mod tests {
         let (status, body) = route(&state(), "POST", "/v1/study", req);
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("disk-backed cache"), "{body}");
+    }
+
+    /// The memo's `replayed` counter, as `GET /v1/cache/stats` reports it.
+    fn replayed(s: &ServeState) -> u64 {
+        let (_, body) = route(s, "GET", "/v1/cache/stats", "");
+        Json::parse(&body)
+            .expect("stats body is valid JSON")
+            .get("replayed")
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no replayed counter in {body}"))
+    }
+
+    #[test]
+    fn repeated_requests_replay_identical_bytes_without_touching_the_cache() {
+        let s = state();
+        let requests = [
+            (
+                "POST",
+                "/v1/study",
+                r#"{"workload":"synthetic-ridge","effort":"test","seeds":3}"#,
+            ),
+            (
+                "POST",
+                "/v1/run",
+                r#"{"artifacts":["workload-synth"],"effort":"test"}"#,
+            ),
+            ("GET", "/v1/workloads", ""),
+            ("GET", "/v1/artifacts", ""),
+        ];
+        for (method, path, body) in requests {
+            let (status, first) = route(&s, method, path, body);
+            assert_eq!(status, 200, "{method} {path}: {first}");
+            let stats = s.ctx().cache().stats();
+            let before = replayed(&s);
+            let (status, again) = route(&s, method, path, body);
+            assert_eq!(status, 200);
+            assert_eq!(again, first, "{method} {path}: replay is byte-identical");
+            assert_eq!(replayed(&s), before + 1, "{method} {path}: one replay");
+            assert_eq!(
+                s.ctx().cache().stats(),
+                stats,
+                "{method} {path}: a replay never reaches the cache"
+            );
+        }
+    }
+
+    #[test]
+    fn the_memo_stays_within_its_bound_and_evicts_the_oldest_first() {
+        let s = state();
+        let study = |seed: u64| {
+            format!(
+                r#"{{"workload":"synthetic-ridge","effort":"test","seeds":2,"base_seed":{seed}}}"#
+            )
+        };
+        let key = |seed: u64| memo_key("POST", "/v1/study", &study(seed));
+        let (status, first) = route(&s, "POST", "/v1/study", &study(0));
+        assert_eq!(status, 200, "{first}");
+        // Distinct studies until the first one is evicted.
+        let mut next = 1;
+        while s.memo().entries.contains_key(key(0).as_str()) {
+            assert!(next < 1000, "1000 studies never filled {MEMO_BYTES} bytes");
+            let (status, body) = route(&s, "POST", "/v1/study", &study(next));
+            assert_eq!(status, 200, "{body}");
+            next += 1;
+            let memo = s.memo();
+            let held: usize = memo.entries.iter().map(|(k, v)| k.len() + v.len()).sum();
+            assert_eq!(memo.bytes, held, "the byte count matches the entries");
+            assert!(memo.bytes <= MEMO_BYTES, "{} bytes held", memo.bytes);
+        }
+        // What is left is the newest run of inserts, in insertion order.
+        {
+            let memo = s.memo();
+            let kept = memo.order.len();
+            assert!(kept >= 2 && kept < next as usize, "{kept} of {next} kept");
+            let newest: Vec<String> = (next - kept as u64..next).map(key).collect();
+            let order: Vec<&str> = memo.order.iter().map(|k| &**k).collect();
+            assert_eq!(order, newest, "oldest inserts evicted first");
+            assert_eq!(memo.entries.len(), kept);
+        }
+        // The evicted request is answered afresh, with the same bytes.
+        let before = replayed(&s);
+        let (status, again) = route(&s, "POST", "/v1/study", &study(0));
+        assert_eq!((status, &again), (200, &first));
+        assert_eq!(replayed(&s), before, "an evicted request is not replayed");
+
+        // A request whose key alone exceeds the bound is answered, never
+        // stored, and evicts nothing.
+        let padded = format!(
+            r#"{{"workload":"synthetic-ridge","effort":"test","seeds":2,"base_seed":0{}}}"#,
+            " ".repeat(MEMO_BYTES)
+        );
+        let stored = s.memo().order.clone();
+        for _ in 0..2 {
+            let (status, body) = route(&s, "POST", "/v1/study", &padded);
+            assert_eq!((status, &body), (200, &first), "padding changes no byte");
+            assert_eq!(replayed(&s), before, "an oversized answer is not replayed");
+            assert_eq!(s.memo().order, stored, "nothing stored or evicted");
+        }
+    }
+
+    #[test]
+    fn error_answers_are_never_replayed() {
+        let s = state();
+        let unknown = r#"{"workload":"nope"}"#;
+        for _ in 0..3 {
+            let (status, body) = route(&s, "POST", "/v1/study", unknown);
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("unknown workload"), "{body}");
+            let (status, _) = route(&s, "POST", "/v1/run", "{not json");
+            assert_eq!(status, 400);
+        }
+        assert_eq!(replayed(&s), 0);
+        assert!(s.memo().entries.is_empty(), "no error answer is stored");
+    }
+
+    #[test]
+    fn a_replayed_dispatched_study_enqueues_nothing() {
+        use varbench_core::exec::Runner;
+        use varbench_pipeline::MeasureCache;
+        let dir = std::env::temp_dir().join(format!("varbench-replay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = RunContext::new(Runner::serial(), MeasureCache::with_dir(&dir));
+        let s = ServeState::new(ctx).with_dispatch(DispatchConfig {
+            wait: Duration::from_millis(100),
+            row_timeout: Duration::from_millis(50),
+            ..Default::default()
+        });
+        let req = r#"{"workload":"synthetic-ridge","effort":"test","seeds":3,"dispatch":true}"#;
+        let (status, served) = route(&s, "POST", "/v1/study", req);
+        assert_eq!(status, 200, "{served}");
+        let stats = s.ctx().cache().stats();
+        let (status, again) = route(&s, "POST", "/v1/study", req);
+        assert_eq!((status, &again), (200, &served));
+        assert_eq!(replayed(&s), 1);
+        assert_eq!(
+            s.ctx().cache().stats(),
+            stats,
+            "the replay looked nothing up"
+        );
+        assert!(
+            varbench_pipeline::lease::scan_queue(&dir).is_empty(),
+            "the replay enqueued nothing"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Splits `raw` into its Content-Length-framed responses.
+    fn framed_responses(mut raw: &[u8]) -> Vec<(u16, String)> {
+        let mut out = Vec::new();
+        while let Some(head_end) = find_head_end(raw) {
+            let head = std::str::from_utf8(&raw[..head_end]).expect("UTF-8 head");
+            let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .expect("Content-Length header")
+                .parse()
+                .unwrap();
+            let body = &raw[head_end + 4..head_end + 4 + len];
+            out.push((status, String::from_utf8(body.to_vec()).unwrap()));
+            raw = &raw[head_end + 4 + len..];
+        }
+        out
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_are_all_answered_in_order() {
+        let study = r#"{"workload":"synthetic-ridge","effort":"test","seeds":3}"#;
+        let s = state();
+        // Warm, so neither answer waits on a computation.
+        let (status, want) = route(&s, "POST", "/v1/study", study);
+        assert_eq!(status, 200, "{want}");
+        let server = Server::bind("127.0.0.1:0", s).expect("bind loopback");
+        let addr = server.local_addr().expect("bound addr");
+        let handle = std::thread::spawn(move || server.run());
+
+        let wire = format!(
+            "POST /v1/study HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{study}\
+             GET /health HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n",
+            study.len()
+        );
+        let mut conn = TcpStream::connect(addr).unwrap();
+        // Shorter than the keep-alive idle window: the second answer
+        // must not wait for the server to give up on the connection.
+        conn.set_read_timeout(Some(KEEPALIVE_IDLE / 2)).unwrap();
+        conn.write_all(wire.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        conn.read_to_end(&mut raw)
+            .expect("both answers, then the close the second request asked for");
+        assert_eq!(
+            framed_responses(&raw),
+            vec![(200, want), (200, "{\"ok\":true}\n".to_string())]
+        );
+
+        let _ = http_request(addr, "POST", "/v1/shutdown", None).unwrap();
+        handle.join().unwrap().unwrap();
     }
 
     #[test]

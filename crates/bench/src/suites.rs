@@ -508,8 +508,11 @@ pub fn compare(c: &mut Harness) {
 
 /// The serve subsystem's request path: `route()` driven directly (no
 /// sockets), so the numbers isolate dispatch + protocol + cache lookup
-/// from kernel networking. The warm-cache request benches are the
-/// headline: a served study that answers without computing anything.
+/// from kernel networking. The warm request benches are the headline:
+/// after the warm-up request, `route_study_warm_cache`,
+/// `route_run_warm_cache` and (after its first iteration)
+/// `route_workloads` time response-memo replays, which neither parse
+/// nor look anything up in the cache.
 pub fn serve(c: &mut Harness) {
     use crate::protocol::StudyRequest;
     use crate::serve::{route, ServeState};
@@ -530,8 +533,8 @@ pub fn serve(c: &mut Harness) {
         b.iter(|| StudyRequest::from_json(&Json::parse(black_box(study)).unwrap()))
     });
 
-    // Warm the shared cache once, then measure pure cache-hit serving —
-    // the steady state of a long-running server.
+    // Warm the shared cache and the response memo once, then measure
+    // replays — the steady state of a long-running server.
     let (status, _) = route(&state, "POST", "/v1/study", study);
     assert_eq!(status, 200, "warmup request succeeds");
     c.bench_function("route_study_warm_cache", |b| {

@@ -907,6 +907,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    // `arm_local` exists only where fault points are compiled in.
+    #[cfg(any(debug_assertions, feature = "chaos"))]
     #[test]
     fn a_panicking_row_releases_its_lease_on_the_way_out() {
         let dir = scratch("panic-release");

@@ -29,6 +29,11 @@ cargo build --release --offline
 say "tier-1: cargo test -q"
 cargo test -q --offline
 
+say "varbench-bench lib tests in release"
+# The serve, worker and protocol unit tests again under the optimizer;
+# tests that need fault points carry the faultpoint module's cfg.
+cargo test --release --offline -q -p varbench-bench --lib
+
 say "varbench CLI: list + workloads + run all --test --json"
 target/release/varbench list
 target/release/varbench workloads --test
@@ -92,6 +97,20 @@ if ! cmp -s "$servedir/served.json" "$servedir/offline.json"; then
     diff "$servedir/served.json" "$servedir/offline.json" >&2 || true
     exit 1
 fi
+# The same request again is replayed from the response memo: the same
+# bytes, and the one replay the cache stats count.
+target/release/varbench query --addr "$addr" /v1/run \
+    '{"artifacts":["workload-synth"],"effort":"test"}' > "$servedir/replayed.json"
+if ! cmp -s "$servedir/replayed.json" "$servedir/served.json" \
+    || ! cmp -s "$servedir/replayed.json" "$servedir/offline.json"; then
+    echo "ERROR: replayed report differs from the first answer or the offline run" >&2
+    exit 1
+fi
+stats=$(target/release/varbench query --addr "$addr" /v1/cache/stats)
+case "$stats" in
+    *'"replayed":1,'*) ;;
+    *) echo "ERROR: expected one replayed request: $stats" >&2; exit 1 ;;
+esac
 # Remote study through the same server, then a clean shutdown.
 target/release/varbench study synthetic-ridge --test --seeds 3 --json \
     --addr "$addr" > /dev/null
