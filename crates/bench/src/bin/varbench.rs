@@ -38,8 +38,10 @@ use varbench_bench::supervisor::{Supervisor, SupervisorConfig};
 use varbench_bench::timing::{parse_snapshot, BenchResult, Harness, Output};
 use varbench_bench::worker::{dispatch, run_worker, study_jobs, DispatchConfig, WorkerConfig};
 use varbench_bench::{suites, workloads};
+use varbench_core::json::Json;
 use varbench_core::report::Report;
 use varbench_core::retry::RetryPolicy;
+use varbench_lint::Diagnostic;
 use varbench_pipeline::cache::{gc_dir, CACHE_DIR_ENV, CACHE_FORMAT_VERSION};
 use varbench_pipeline::MeasureCache;
 
@@ -457,7 +459,7 @@ fn lint_command(args: &[String]) {
         Err(e) => fail(&format!("lint failed: {e}")),
     };
     if json {
-        println!("{}", varbench_lint::render_json(&diags));
+        println!("{}", render_json(&diags));
     } else {
         for d in &diags {
             println!("{d}");
@@ -473,6 +475,24 @@ fn lint_command(args: &[String]) {
     if !diags.is_empty() {
         std::process::exit(1);
     }
+}
+
+/// The `varbench-lint/1` document for `diags`, without a trailing
+/// newline.
+fn render_json(diags: &[Diagnostic]) -> String {
+    let items = diags.iter().map(|d| {
+        Json::object(vec![
+            ("path", d.path.as_str().into()),
+            ("line", d.line.into()),
+            ("lint", d.lint.into()),
+            ("message", d.message.as_str().into()),
+        ])
+    });
+    Json::object(vec![
+        ("schema", "varbench-lint/1".into()),
+        ("diagnostics", items.collect()),
+    ])
+    .to_string()
 }
 
 fn cache_command(args: &[String]) {
@@ -1165,6 +1185,33 @@ mod tests {
                 "USAGE lists {flag}, which nothing accepts"
             );
         }
+    }
+
+    #[test]
+    fn json_escapes_quotes_and_newlines() {
+        let d = Diagnostic {
+            path: "a\"b".into(),
+            line: 1,
+            lint: "L001",
+            message: "x\ny".into(),
+        };
+        let doc = render_json(&[d]);
+        assert!(doc.contains("a\\\"b"));
+        assert!(doc.contains("x\\ny"));
+    }
+
+    #[test]
+    fn json_rendering_round_trips_the_finding() {
+        let diags = varbench_lint::check_file(
+            "crates/fake/src/maps.rs",
+            "use std::collections::HashMap;\n",
+        );
+        assert_eq!(diags.len(), 1);
+        let doc = render_json(&diags);
+        assert!(doc.starts_with("{\"schema\":\"varbench-lint/1\""));
+        assert!(doc.contains("\"lint\":\"L001\""));
+        assert!(doc.contains("\"line\":1"));
+        assert!(doc.contains("crates/fake/src/maps.rs"));
     }
 
     #[test]

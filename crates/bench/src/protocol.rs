@@ -20,17 +20,20 @@ use crate::registry::{self, Spec};
 use crate::workloads;
 use varbench_core::ctx::RunContext;
 use varbench_core::json::Json;
-use varbench_core::report::{json_string, Report};
+use varbench_core::report::Report;
 use varbench_core::study::Study;
 use varbench_pipeline::{HpoAlgorithm, VarianceSource};
 
 /// The `varbench-report/1` JSON document wrapping rendered artifacts —
 /// the one envelope shared by `varbench run --json`, per-artifact
 /// `--out` files, and every serve report response.
+///
+/// The artifact documents arrive rendered (by `Report::to_json`) and are
+/// spliced in as they are; the effort label goes through the writer.
 pub fn json_envelope(effort: Effort, artifact_docs: &[String]) -> String {
     format!(
         "{{\"schema\":\"varbench-report/1\",\"effort\":{},\"artifacts\":[{}]}}",
-        json_string(effort.label()),
+        Json::from(effort.label()),
         artifact_docs.join(",")
     )
 }
@@ -233,7 +236,7 @@ impl StudyRequest {
         let seeds = optional(doc, "seeds", "an integer >= 2", |v| {
             v.as_u64().filter(|&n| n >= 2).map(|n| n as usize)
         })?;
-        let base_seed = optional(doc, "base_seed", "a non-negative integer", Json::as_u64)?;
+        let base_seed = optional(doc, "base_seed", "an integer in [0, 2^64)", Json::as_u64)?;
         let budget = optional(doc, "budget", "a non-negative integer", |v| {
             v.as_u64().map(|n| n as usize)
         })?;
@@ -350,37 +353,36 @@ impl StudyRequest {
     /// [`StudyRequest::from_json`].
     pub fn to_json(&self) -> String {
         let mut fields = vec![
-            format!("\"workload\":{}", json_string(&self.workload)),
-            format!("\"effort\":{}", json_string(self.effort.label())),
+            ("workload", Json::from(self.workload.as_str())),
+            ("effort", self.effort.label().into()),
         ];
         if let Some(sources) = &self.sources {
-            let labels: Vec<String> = sources.iter().map(|s| json_string(s.label())).collect();
-            fields.push(format!("\"sources\":[{}]", labels.join(",")));
+            fields.push(("sources", sources.iter().map(|s| s.label()).collect()));
         }
         if let Some(n) = self.seeds {
-            fields.push(format!("\"seeds\":{n}"));
+            fields.push(("seeds", n.into()));
         }
         if let Some(seed) = self.base_seed {
-            fields.push(format!("\"base_seed\":{seed}"));
+            fields.push(("base_seed", seed.into()));
         }
         if let Some(budget) = self.budget {
-            fields.push(format!("\"budget\":{budget}"));
+            fields.push(("budget", budget.into()));
         }
         if let Some(algo) = self.algo {
-            fields.push(format!("\"algo\":{}", json_string(algo.display_name())));
+            fields.push(("algo", algo.display_name().into()));
         }
         if let Some(gamma) = self.gamma {
-            fields.push(format!("\"gamma\":{gamma}"));
+            fields.push(("gamma", gamma.into()));
         }
         if let Some(name) = &self.name {
-            fields.push(format!("\"name\":{}", json_string(name)));
+            fields.push(("name", name.as_str().into()));
         }
         // Emitted only when set: a non-dispatching request keeps the
         // exact byte shape it had before the field existed.
         if self.dispatch {
-            fields.push("\"dispatch\":true".to_string());
+            fields.push(("dispatch", true.into()));
         }
-        format!("{{{}}}", fields.join(","))
+        Json::object(fields).to_string()
     }
 }
 
@@ -550,6 +552,38 @@ mod tests {
         let plain = StudyRequest::from_json(&parse(r#"{"workload":"synthetic-ridge"}"#)).unwrap();
         assert!(!plain.dispatch);
         assert!(!plain.to_json().contains("dispatch"));
+    }
+
+    #[test]
+    fn base_seeds_are_read_exactly_or_refused() {
+        let seed = |body: &str| StudyRequest::from_json(&parse(body)).map(|r| r.base_seed);
+        assert_eq!(
+            seed(r#"{"workload":"w","base_seed":9007199254740993}"#),
+            Ok(Some(9_007_199_254_740_993))
+        );
+        assert_eq!(
+            seed(r#"{"workload":"w","base_seed":18446744073709551615}"#),
+            Ok(Some(u64::MAX))
+        );
+        let err = seed(r#"{"workload":"w","base_seed":18446744073709551616}"#).unwrap_err();
+        assert!(err.contains("an integer in [0, 2^64)"), "{err}");
+    }
+
+    #[test]
+    fn study_request_wire_bytes_are_pinned() {
+        let wire = concat!(
+            r#"{"workload":"linear-logreg","effort":"test","sources":["data_split","data_order"],"#,
+            r#""seeds":4,"base_seed":7,"budget":3,"algo":"Grid Search","gamma":0.75,"#,
+            r#""name":"rt","dispatch":true}"#
+        );
+        assert_eq!(
+            StudyRequest::from_json(&parse(wire)).unwrap().to_json(),
+            wire
+        );
+        // Seeds past 2^53 travel exactly; a name is escaped.
+        let big =
+            r#"{"workload":"w","effort":"quick","base_seed":9007199254740993,"name":"a\"b\n"}"#;
+        assert_eq!(StudyRequest::from_json(&parse(big)).unwrap().to_json(), big);
     }
 
     #[test]

@@ -81,7 +81,6 @@ use crate::worker::{self, DispatchConfig};
 use crate::workloads;
 use varbench_core::ctx::RunContext;
 use varbench_core::json::Json;
-use varbench_core::report::json_string;
 use varbench_pipeline::faultpoint::faultpoint;
 use varbench_pipeline::Scale;
 
@@ -307,45 +306,40 @@ fn parse_body(body: &str) -> Result<Json, String> {
 }
 
 fn error_body(message: &str) -> String {
-    format!("{{\"error\":{}}}\n", json_string(message))
+    body(Json::object(vec![("error", message.into())]))
+}
+
+/// A response body: the document plus the newline every body ends in.
+fn body(doc: Json) -> String {
+    format!("{doc}\n")
 }
 
 /// `GET /v1/workloads`. Name, metric and sources do not depend on
 /// scale, so the listing renders from the cheap test-scale instances
 /// and never synthesizes a quick- or full-scale dataset.
 fn workloads_body() -> String {
-    let items: Vec<String> = workloads::all(Scale::Test)
-        .iter()
-        .map(|w| {
-            let sources: Vec<String> = w
-                .active_sources()
-                .iter()
-                .map(|s| json_string(s.label()))
-                .collect();
-            format!(
-                "{{\"name\":{},\"metric\":{},\"sources\":[{}]}}",
-                json_string(w.name()),
-                json_string(w.metric_name()),
-                sources.join(",")
-            )
-        })
-        .collect();
-    format!("{{\"workloads\":[{}]}}\n", items.join(","))
+    let items = workloads::all(Scale::Test).into_iter().map(|w| {
+        Json::object(vec![
+            ("name", w.name().into()),
+            ("metric", w.metric_name().into()),
+            (
+                "sources",
+                w.active_sources().iter().map(|s| s.label()).collect(),
+            ),
+        ])
+    });
+    body(Json::object(vec![("workloads", items.collect())]))
 }
 
 fn artifacts_body() -> String {
-    let items: Vec<String> = registry::all()
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"name\":{},\"title\":{},\"description\":{}}}",
-                json_string(s.name),
-                json_string(s.title),
-                json_string(s.description)
-            )
-        })
-        .collect();
-    format!("{{\"artifacts\":[{}]}}\n", items.join(","))
+    let items = registry::all().iter().map(|s| {
+        Json::object(vec![
+            ("name", s.name.into()),
+            ("title", s.title.into()),
+            ("description", s.description.into()),
+        ])
+    });
+    body(Json::object(vec![("artifacts", items.collect())]))
 }
 
 /// `GET /v1/cache/stats`: the `MeasureCache` counters, then `replayed`,
@@ -353,24 +347,20 @@ fn artifacts_body() -> String {
 /// cache, so they move no other counter).
 fn cache_stats_body(state: &ServeState) -> String {
     let s = state.ctx().cache().stats();
-    format!(
-        "{{\"full_hits\":{},\"extensions\":{},\"misses\":{},\"rows_computed\":{},\
-         \"rows_served\":{},\"records_computed\":{},\"records_served\":{},\
-         \"record_fits_computed\":{},\"disk_loads\":{},\"coalesced\":{},\
-         \"replayed\":{},\"persistent\":{}}}\n",
-        s.full_hits,
-        s.extensions,
-        s.misses,
-        s.rows_computed,
-        s.rows_served,
-        s.records_computed,
-        s.records_served,
-        s.record_fits_computed,
-        s.disk_loads,
-        s.coalesced,
-        state.memo().replayed,
-        state.ctx().cache().is_persistent(),
-    )
+    body(Json::object(vec![
+        ("full_hits", s.full_hits.into()),
+        ("extensions", s.extensions.into()),
+        ("misses", s.misses.into()),
+        ("rows_computed", s.rows_computed.into()),
+        ("rows_served", s.rows_served.into()),
+        ("records_computed", s.records_computed.into()),
+        ("records_served", s.records_served.into()),
+        ("record_fits_computed", s.record_fits_computed.into()),
+        ("disk_loads", s.disk_loads.into()),
+        ("coalesced", s.coalesced.into()),
+        ("replayed", state.memo().replayed.into()),
+        ("persistent", state.ctx().cache().is_persistent().into()),
+    ]))
 }
 
 /// `GET /v1/ready`: readiness as distinct from `/health` liveness. A
@@ -385,15 +375,14 @@ fn ready_body(state: &ServeState) -> (u16, String) {
         Some(fleet) => {
             let s = fleet.status();
             let ready = s.slots.is_empty() || s.running() > 0;
-            let body = format!(
-                "{{\"ready\":{ready},\"fleet\":{{\"workers\":{},\"running\":{},\
-                 \"quarantined\":{},\"respawns\":{}}}}}\n",
-                s.slots.len(),
-                s.running(),
-                s.quarantined(),
-                s.respawns(),
-            );
-            (if ready { 200 } else { 503 }, body)
+            let fleet = Json::object(vec![
+                ("workers", s.slots.len().into()),
+                ("running", s.running().into()),
+                ("quarantined", s.quarantined().into()),
+                ("respawns", s.respawns().into()),
+            ]);
+            let doc = Json::object(vec![("ready", ready.into()), ("fleet", fleet)]);
+            (if ready { 200 } else { 503 }, body(doc))
         }
     }
 }
@@ -1087,6 +1076,56 @@ mod tests {
         let (status, body) = route(&s, "POST", "/v1/study", r#"{"workload":"nope"}"#);
         assert_eq!(status, 400);
         assert!(body.contains("unknown workload"), "{body}");
+    }
+
+    const ARTIFACTS_BODY: &str = concat!(
+        r#"{"artifacts":["#,
+        r#"{"name":"fig1","title":"Figure 1","description":"variance of each source of variation vs bootstrap"},"#,
+        r#"{"name":"fig2","title":"Figure 2","description":"binomial model of test-set sampling noise"},"#,
+        r#"{"name":"fig3","title":"Figure 3","description":"published SOTA increments vs benchmark sigma"},"#,
+        r#"{"name":"fig5","title":"Figure 5 / H.4","description":"standard error of estimators vs number of samples k"},"#,
+        r#"{"name":"fig6","title":"Figure 6","description":"detection rates of comparison criteria (calibrated simulation)"},"#,
+        r#"{"name":"figc1","title":"Figure C.1","description":"Noether minimal sample sizes vs gamma"},"#,
+        r#"{"name":"figf2","title":"Figure F.2","description":"HPO best-so-far optimization curves"},"#,
+        r#"{"name":"figg3","title":"Figure G.3","description":"Shapiro-Wilk normality of per-source performance"},"#,
+        r#"{"name":"figh5","title":"Figure H.5","description":"bias/variance/rho/MSE decomposition of estimators"},"#,
+        r#"{"name":"figi6","title":"Figure I.6","description":"robustness of comparison methods vs N and gamma"},"#,
+        r#"{"name":"tables","title":"Tables","description":"configuration tables and the Table 8 model comparison"},"#,
+        r#"{"name":"interactions","title":"Extension: interactions","description":"interaction of variance sources (joint vs sum of marginals)"},"#,
+        r#"{"name":"ablations","title":"Extension: ablations","description":"HPO-budget sweep and bootstrap-vs-CV ablations"},"#,
+        r#"{"name":"workload-linear","title":"Workload: linear","description":"variance profile of the logistic-regression workload"},"#,
+        r#"{"name":"workload-synth","title":"Workload: synthetic","description":"variance profile of the closed-form ridge workload"}"#,
+        "]}\n"
+    );
+
+    #[test]
+    fn listing_stats_and_error_bodies_keep_their_bytes() {
+        let s = state();
+        assert_eq!(
+            route(&s, "GET", "/v1/artifacts", ""),
+            (200, ARTIFACTS_BODY.into())
+        );
+        assert_eq!(
+            route(&s, "GET", "/v1/cache/stats", "").1,
+            concat!(
+                r#"{"full_hits":0,"extensions":0,"misses":0,"rows_computed":0,"#,
+                r#""rows_served":0,"records_computed":0,"records_served":0,"#,
+                r#""record_fits_computed":0,"disk_loads":0,"coalesced":0,"#,
+                r#""replayed":0,"persistent":false}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            route(&s, "GET", "/v1/no\"pe\n", ""),
+            (
+                404,
+                "{\"error\":\"no such endpoint: /v1/no\\\"pe\\n\"}\n".into()
+            )
+        );
+        assert_eq!(
+            error_body("a\\b\u{1}\tξ"),
+            "{\"error\":\"a\\\\b\\u0001\\tξ\"}\n"
+        );
     }
 
     #[test]

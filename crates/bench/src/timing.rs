@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 pub use std::hint::black_box;
+use varbench_core::json::Json;
 
 /// Reads a positive integer knob from the environment, with a default.
 fn env_knob(name: &str, default: u64) -> u64 {
@@ -104,92 +105,76 @@ impl BenchResult {
     /// This result as a flat JSON object (the element shape of
     /// `BENCH_*.json`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"suite\":\"{}\",\"name\":\"{}\",\"iters\":{},\"reps\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-            self.suite, self.name, self.iters, self.reps, self.median_ns, self.min_ns, self.max_ns
-        )
+        Json::object(vec![
+            ("suite", self.suite.as_str().into()),
+            ("name", self.name.as_str().into()),
+            ("iters", self.iters.into()),
+            ("reps", self.reps.into()),
+            ("median_ns", self.median_ns.into()),
+            ("min_ns", self.min_ns.into()),
+            ("max_ns", self.max_ns.into()),
+        ])
+        .to_string()
     }
 }
 
 /// Renders results as a `BENCH_*.json` snapshot document — the exact
-/// bytes `varbench bench --json` writes to stdout (one flat object per
-/// line, trailing newline). [`parse_snapshot`] inverts it bit-exactly:
+/// bytes `varbench bench --json` writes to stdout: a JSON array with one
+/// [`BenchResult::to_json`] object per line and a trailing newline.
+/// [`parse_snapshot`] inverts it bit-exactly:
 /// `render_snapshot(&parse_snapshot(s)?) == s` for any snapshot this
 /// function produced, which is what keeps the committed `BENCH_*.json`
 /// files machine-readable as fields evolve (pinned by
 /// `crates/bench/tests/snapshot_roundtrip.rs`).
 pub fn render_snapshot(results: &[BenchResult]) -> String {
-    if results.is_empty() {
-        return "[]\n".to_string();
+    let mut out = String::from("[");
+    for (i, r) in results.iter().enumerate() {
+        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        out.push_str(&r.to_json());
     }
-    let docs: Vec<String> = results
-        .iter()
-        .map(|r| format!("  {}", r.to_json()))
-        .collect();
-    format!("[\n{}\n]\n", docs.join(",\n"))
+    out.push_str(if results.is_empty() { "]\n" } else { "\n]\n" });
+    out
 }
 
-/// Parses a `BENCH_*.json` snapshot: a JSON array of flat objects with
-/// string `suite`/`name` fields and integer timing fields, exactly the
-/// shape `varbench bench --json` (and historically `scripts/bench.sh`)
-/// emits. Not a general JSON parser — unknown keys are ignored, nesting
-/// is rejected.
+/// Parses a `BENCH_*.json` snapshot through [`Json::parse`]: an array of
+/// objects with non-empty string `suite`/`name` fields and exact
+/// non-negative integer timing fields, the shape `varbench bench
+/// --json` (and historically `scripts/bench.sh`) emits. Unknown keys are
+/// ignored; a missing timing field reads as 0.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first malformed construct.
 pub fn parse_snapshot(s: &str) -> Result<Vec<BenchResult>, String> {
-    let body = s.trim();
-    let body = body
-        .strip_prefix('[')
-        .and_then(|b| b.strip_suffix(']'))
-        .ok_or("snapshot is not a JSON array")?;
-    let mut out = Vec::new();
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        let start = rest.find('{').ok_or("expected an object")?;
-        let end = rest[start..]
-            .find('}')
-            .ok_or("unterminated object in snapshot")?
-            + start;
-        let obj = &rest[start + 1..end];
-        let mut r = BenchResult {
-            suite: String::new(),
-            name: String::new(),
-            iters: 0,
-            reps: 0,
-            median_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        };
-        for field in obj.split(',') {
-            let (k, v) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed field '{field}'"))?;
-            let k = k.trim().trim_matches('"');
-            let v = v.trim();
-            let int = || -> Result<u128, String> {
-                v.parse::<u128>()
-                    .map_err(|_| format!("non-integer value for '{k}': {v}"))
+    let doc = Json::parse(s).map_err(|e| format!("snapshot is not JSON: {e}"))?;
+    let entries = doc.as_array().ok_or("snapshot is not a JSON array")?;
+    entries
+        .iter()
+        .map(|e| {
+            let text = |key| {
+                e.get(key)
+                    .and_then(Json::as_str)
+                    .filter(|s| !s.is_empty())
+                    .map(str::to_string)
+                    .ok_or("snapshot entry missing suite/name")
             };
-            match k {
-                "suite" => r.suite = v.trim_matches('"').to_string(),
-                "name" => r.name = v.trim_matches('"').to_string(),
-                "iters" => r.iters = int()? as u64,
-                "reps" => r.reps = int()? as u64,
-                "median_ns" => r.median_ns = int()?,
-                "min_ns" => r.min_ns = int()?,
-                "max_ns" => r.max_ns = int()?,
-                _ => {}
-            }
-        }
-        if r.suite.is_empty() || r.name.is_empty() {
-            return Err("snapshot entry missing suite/name".into());
-        }
-        out.push(r);
-        rest = rest[end + 1..].trim_start().trim_start_matches(',').trim();
-    }
-    Ok(out)
+            let int = |key| match e.get(key) {
+                None => Ok(0),
+                Some(v) => v
+                    .as_u64()
+                    .ok_or_else(|| format!("non-integer value for '{key}': {v}")),
+            };
+            Ok(BenchResult {
+                suite: text("suite")?,
+                name: text("name")?,
+                iters: int("iters")?,
+                reps: int("reps")?,
+                median_ns: int("median_ns")?.into(),
+                min_ns: int("min_ns")?.into(),
+                max_ns: int("max_ns")?.into(),
+            })
+        })
+        .collect()
 }
 
 /// Where a [`Harness`] prints its per-benchmark result lines.

@@ -1,5 +1,6 @@
 //! The `varbench` command line end to end: usage errors, `study
-//! --workers 0`, and retry and respawn counts at the top of their range.
+//! --workers 0`, retry and respawn counts at the top of their range, and
+//! the `lint --json` document.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -130,4 +131,20 @@ fn serve_with_the_largest_respawn_count_binds_and_shuts_down() {
     assert_eq!(code, 200, "{body}");
     let status = status.expect("serve must exit after its shutdown request");
     assert!(status.success(), "a clean exit, not a crash: {status}");
+}
+
+#[test]
+fn lint_json_prints_one_document_and_one_newline() {
+    let out = varbench()
+        .args(["lint", "--json", "crates/core/src/json.rs"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("run lint");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    assert_eq!(
+        stdout,
+        "{\"schema\":\"varbench-lint/1\",\"diagnostics\":[]}\n"
+    );
+    assert!(varbench_core::json::Json::parse(&stdout).is_ok());
 }

@@ -242,16 +242,6 @@ impl Runner {
     }
 }
 
-impl varbench_pipeline::measure::ParMap for Runner {
-    fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        Runner::map_indexed(self, n, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,12 +319,5 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn par_map_trait_matches_inherent_map() {
-        use varbench_pipeline::measure::ParMap;
-        let via_trait = ParMap::map_indexed(&Runner::new(3), 20, |i| i * i);
-        assert_eq!(via_trait, Runner::serial().map_indexed(20, |i| i * i));
     }
 }

@@ -1,39 +1,48 @@
-//! A minimal JSON value model and recursive-descent parser.
+//! The workspace's one JSON module: a value model, a recursive-descent
+//! parser and a compact writer.
 //!
-//! The workspace is dependency-free, so the serve protocol parses its
-//! request bodies with this module instead of serde. It is the *reading*
-//! half only — writing stays with [`crate::report`]'s renderers
-//! ([`crate::report::json_string`] and friends), which the protocol and
-//! CLI already share.
+//! The workspace is dependency-free, so everything that reads or writes
+//! JSON goes through this module instead of serde: serve request bodies
+//! and responses, report envelopes, `BENCH_*.json` snapshots and the
+//! lint document. [`Json::parse`] reads one document; `impl Display for
+//! Json` writes one compactly (no whitespace) with one string escaper:
+//! `"`, `\`, newline, carriage return and tab get their two-character
+//! escapes, every other control character `\u00xx`, and everything else
+//! (non-ASCII included) passes through as UTF-8. Re-writing a parsed
+//! document this module wrote gives back its bytes.
 //!
-//! Scope: RFC 8259 minus two deliberate simplifications that cannot
-//! affect the serve protocol's request grammar:
+//! Numbers are exact. A [`Number`] keeps its literal text, checked
+//! against the RFC 8259 grammar, so writing a parsed number reproduces
+//! its spelling. [`Json::as_u64`] returns the literal's exact value or
+//! `None`, never a rounded or saturated one: a seed past 2^53 arrives
+//! intact, and `18446744073709551616` is no `u64`. [`Json::as_f64`]
+//! rounds to the nearest `f64`. Two numbers are equal when their
+//! decimal values are (`1e2` equals `100`).
 //!
-//! * numbers are parsed as `f64` (the protocol's integers are small
-//!   counts — seeds, budgets, ports — all exactly representable);
-//! * `\uXXXX` escapes decode the Basic Multilingual Plane only; lone
-//!   and paired surrogates are rejected rather than combined (workload
-//!   names and source labels are ASCII).
+//! One simplification of RFC 8259 remains: `\uXXXX` escapes decode the
+//! Basic Multilingual Plane only; lone and paired surrogates are
+//! rejected rather than combined (workload names and source labels are
+//! ASCII, and the writer never emits a `\u` escape above `\u001f`).
 //!
 //! Objects preserve insertion order in a `Vec<(String, Json)>` — no hash
-//! maps (varbench lint L001), and re-rendering is deterministic by
+//! maps (varbench lint L001), and writing is deterministic by
 //! construction.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Maximum nesting depth [`Json::parse`] accepts; deeper documents are
 /// a [`JsonError`], not a stack overflow. The serve protocol needs 2.
 pub const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON value.
+/// A JSON value, parsed or built for writing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (see module docs: parsed as `f64`).
-    Num(f64),
+    /// Any JSON number, exact (see module docs).
+    Num(Number),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -41,6 +50,43 @@ pub enum Json {
     /// An object, in document order. Duplicate keys are rejected at
     /// parse time, so lookup by first match is unambiguous.
     Obj(Vec<(String, Json)>),
+}
+
+/// A JSON number: its literal text, valid by construction (parsed, or
+/// written from an integer or a finite `f64` by `Json::from`).
+#[derive(Debug, Clone)]
+pub struct Number(String);
+
+impl Number {
+    /// The literal's exact value as `(negative, digits, exp)`, meaning
+    /// `±digits × 10^exp` with no leading or trailing zero in `digits`;
+    /// zero is `(false, "", 0)`, so equal values give equal triples.
+    fn decimal(&self) -> (bool, String, i64) {
+        let (mantissa, exp) = self.0.split_once(['e', 'E']).unwrap_or((&self.0, "0"));
+        let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+        // An exponent saturates at ±2^50: no literal has that many digits,
+        // so a saturated exponent still reads as too large or fractional.
+        let overflow = if exp.starts_with('-') {
+            i64::MIN
+        } else {
+            i64::MAX
+        };
+        let exp = exp.parse().unwrap_or(overflow).clamp(-1 << 50, 1 << 50);
+        let digits = format!("{}{frac}", int.trim_start_matches('-'));
+        let significant = digits.trim_matches('0');
+        if significant.is_empty() {
+            return (false, String::new(), 0);
+        }
+        let trailing = digits.len() - digits.trim_end_matches('0').len();
+        let exp = exp - frac.len() as i64 + trailing as i64;
+        (int.starts_with('-'), significant.to_string(), exp)
+    }
+}
+
+impl PartialEq for Number {
+    fn eq(&self, other: &Number) -> bool {
+        self.decimal() == other.decimal()
+    }
 }
 
 /// A parse failure: what went wrong and the byte offset it happened at.
@@ -77,6 +123,16 @@ impl Json {
         Ok(value)
     }
 
+    /// An object of `fields`, in the order given.
+    pub fn object(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Object field lookup (first match); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -93,24 +149,31 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload rounded to the nearest `f64`, if this is a
+    /// number (literals beyond the `f64` range read as infinite).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n) => n.0.parse().ok(),
             _ => None,
         }
     }
 
     /// The numeric payload as a non-negative integer: `None` unless this
-    /// is a number that is an exact unsigned integer (no fraction, no
-    /// loss) — `3.5`, `-1` and `1e300` all return `None`.
+    /// is a number whose exact value is an integer in `u64` range —
+    /// `3.5`, `-1`, `1e300` and `18446744073709551616` all return `None`,
+    /// while `3.0` and `1e2` are `3` and `100`.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0 {
-            Some(n as u64)
-        } else {
-            None
+        let Json::Num(n) = self else {
+            return None;
+        };
+        let (negative, digits, exp) = n.decimal();
+        if digits.is_empty() {
+            return Some(0);
         }
+        if negative || exp < 0 || digits.len() as i64 + exp > 20 {
+            return None;
+        }
+        (0..exp).try_fold(digits.parse::<u64>().ok()?, |v, _| v.checked_mul(10))
     }
 
     /// The boolean payload, if this is a boolean.
@@ -147,6 +210,116 @@ impl Json {
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
         }
+    }
+}
+
+/// Compact JSON: no whitespace, numbers as their literal text, strings
+/// through the one escaper (see module docs).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => f.write_str(&n.0),
+            Json::Str(s) => write_string(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    fmt::Display::fmt(item, f)?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    write_string(f, key)?;
+                    f.write_char(':')?;
+                    fmt::Display::fmt(value, f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal, quotes included. Runs of bytes
+/// that need no escape are written as one slice; every escaped byte is
+/// ASCII, so the slice bounds are always char boundaries.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[plain..i])?;
+        match b {
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b'"' | b'\\' => write!(f, "\\{}", char::from(b))?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        plain = i + 1;
+    }
+    f.write_str(&s[plain..])?;
+    f.write_char('"')
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(Number(n.to_string()))
+            }
+        }
+    )*};
+}
+
+from_unsigned!(u32, u64, u128, usize);
+
+/// The shortest decimal text that reads back as the same `f64`; a NaN or
+/// an infinity, which JSON cannot spell, becomes `null`.
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        if x.is_finite() {
+            Json::Num(Number(x.to_string()))
+        } else {
+            Json::Null
+        }
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+}
+
+/// Collects values into an array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -310,11 +483,15 @@ impl Parser<'_> {
             b'r' => '\r',
             b't' => '\t',
             b'u' => {
+                // Exactly four hex digits; `from_str_radix` would also
+                // take a sign (`\u+041`).
                 let hex = self
                     .bytes
                     .get(self.pos..self.pos + 4)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .and_then(|h| {
+                        h.iter()
+                            .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+                    })
                     .ok_or_else(|| self.err("malformed \\u escape"))?;
                 self.pos += 4;
                 char::from_u32(hex).ok_or_else(|| self.err("surrogate \\u escape (unsupported)"))?
@@ -323,75 +500,45 @@ impl Parser<'_> {
         })
     }
 
+    /// Skips a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? int frac? exp?` with no leading zero. The literal text is the
+    /// number, so this grammar check is all the validation there is.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let leading_zero = self.peek() == Some(b'0');
+        let int = self.digits();
+        let mut valid = int == 1 || (int > 1 && !leading_zero);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Delegating validation entirely to f64::from_str would accept
-        // non-JSON spellings ("inf", "1.", ".5"); check the grammar first.
-        if !valid_number(text) {
+        if !valid {
             return Err(JsonError {
                 message: format!("malformed number \"{text}\""),
                 offset: start,
             });
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("unparseable number \"{text}\"")))
+        Ok(Json::Num(Number(text.to_string())))
     }
-}
-
-/// JSON number grammar: `-? int frac? exp?` with no leading zeros.
-fn valid_number(s: &str) -> bool {
-    let s = s.strip_prefix('-').unwrap_or(s);
-    let (int, rest) = match s.find(['.', 'e', 'E']) {
-        Some(i) => s.split_at(i),
-        None => (s, ""),
-    };
-    let int_ok = !int.is_empty()
-        && int.bytes().all(|b| b.is_ascii_digit())
-        && (int == "0" || !int.starts_with('0'));
-    let frac_exp_ok = match rest.strip_prefix('.') {
-        Some(after) => {
-            let (frac, exp) = match after.find(['e', 'E']) {
-                Some(i) => after.split_at(i),
-                None => (after, ""),
-            };
-            !frac.is_empty() && frac.bytes().all(|b| b.is_ascii_digit()) && valid_exp(exp)
-        }
-        None => valid_exp(rest),
-    };
-    int_ok && frac_exp_ok
-}
-
-fn valid_exp(s: &str) -> bool {
-    if s.is_empty() {
-        return true;
-    }
-    let digits = s
-        .strip_prefix(['e', 'E'])
-        .map(|d| d.strip_prefix(['+', '-']).unwrap_or(d));
-    digits.is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
 }
 
 #[cfg(test)]
@@ -403,8 +550,8 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse(" false ").unwrap(), Json::Bool(false));
-        assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
-        assert_eq!(Json::parse("-0.5e2").unwrap(), Json::Num(-50.0));
+        assert_eq!(Json::parse("42").unwrap(), Json::from(42.0));
+        assert_eq!(Json::parse("-0.5e2").unwrap(), Json::from(-50.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
     }
 
@@ -447,6 +594,7 @@ mod tests {
         assert!(Json::parse(r#""\ud800""#).is_err(), "lone surrogate");
         assert!(Json::parse(r#""\q""#).is_err(), "unknown escape");
         assert!(Json::parse("\"a\nb\"").is_err(), "raw control char");
+        assert!(Json::parse(r#""\u+041""#).is_err(), "signed \\u escape");
     }
 
     #[test]
@@ -525,5 +673,122 @@ mod tests {
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("at byte 4"));
+    }
+    #[test]
+    fn as_u64_reads_the_exact_literal() {
+        let u = |s: &str| Json::parse(s).unwrap().as_u64();
+        assert_eq!(u("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("18446744073709551616"), None, "2^64 is no u64");
+        assert_eq!(
+            u("4503599627370496.3"),
+            None,
+            "fraction below f64 resolution"
+        );
+        assert_eq!(u("1e2"), Some(100));
+        assert_eq!(u("1.8446744073709551615e19"), Some(u64::MAX));
+        assert_eq!(u("250e-2"), None);
+        assert_eq!(u("2500e-3"), None);
+        assert_eq!(u("3000e-3"), Some(3));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("0e99999999999999999999"), Some(0));
+        assert_eq!(u("1e99999999999999999999"), None);
+        assert_eq!(u("1e-99999999999999999999"), None);
+        assert_eq!(Json::parse("1e400").unwrap().as_f64(), Some(f64::INFINITY));
+    }
+
+    #[test]
+    fn numbers_keep_their_text_and_compare_by_value() {
+        for text in ["-0.5e2", "1E+2", "0.000", "18446744073709551616", "3.0"] {
+            assert_eq!(Json::parse(text).unwrap().to_string(), text);
+        }
+        assert_eq!(Json::parse("1e2").unwrap(), Json::from(100u64));
+        assert_eq!(Json::parse("0.10").unwrap(), Json::from(0.1));
+        assert_eq!(Json::parse("-0").unwrap(), Json::from(0u64));
+        assert_ne!(
+            Json::parse("9007199254740993").unwrap(),
+            Json::parse("9007199254740992").unwrap()
+        );
+        assert_eq!(Json::from(0.75).to_string(), "0.75");
+        assert_eq!(Json::from(1e-7).to_string(), "0.0000001");
+        assert_eq!(Json::from(f64::NAN), Json::Null);
+        assert_eq!(Json::from(f64::NEG_INFINITY), Json::Null);
+    }
+
+    #[test]
+    fn writes_compact_documents() {
+        let doc = Json::object(vec![
+            ("name", "a\"b\\c\n\r\t\u{1}\u{1f}ξ/".into()),
+            ("n", 7u64.into()),
+            ("ok", true.into()),
+            ("none", Json::Null),
+            ("xs", vec![Json::from(1.5), Json::from(usize::MAX)].into()),
+            ("empty", Json::object(vec![])),
+            ("labels", ["x", "y"].into_iter().collect()),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            concat!(
+                r#"{"name":"a\"b\\c\n\r\t\u0001\u001fξ/","n":7,"ok":true,"none":null,"#,
+                r#""xs":[1.5,18446744073709551615],"empty":{},"labels":["x","y"]}"#
+            )
+        );
+    }
+
+    /// A random value: every control character, quotes, backslashes and
+    /// non-ASCII text in strings; integers up to `u64::MAX`; finite
+    /// `f64`s; nesting up to `depth`.
+    fn random_json(case: &mut varbench_rng::sweep::Case, depth: usize) -> Json {
+        match case.usize_in(0, if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(case.usize_in(0, 2) == 1),
+            2 => match case.usize_in(0, 3) {
+                0 => Json::from(case.rng().next_u64()),
+                1 => Json::from(u64::MAX - case.u64_in(0, 3)),
+                _ => Json::from(case.u64_in(0, 100)),
+            },
+            3 => {
+                let bits = f64::from_bits(case.rng().next_u64());
+                if bits.is_finite() {
+                    Json::from(bits)
+                } else {
+                    Json::from(case.f64_in(-1e9, 1e9))
+                }
+            }
+            4 => Json::Str(random_text(case)),
+            5 => (0..case.usize_in(0, 4))
+                .map(|_| random_json(case, depth - 1))
+                .collect(),
+            // Fewer than ten fields: a one-digit suffix keeps keys distinct.
+            _ => Json::Obj(
+                (0..case.usize_in(0, 4))
+                    .map(|i| {
+                        let key = format!("{}{i}", random_text(case));
+                        (key, random_json(case, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn random_text(case: &mut varbench_rng::sweep::Case) -> String {
+        let alphabet: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/aZ é ξ€\u{1F600}\u{7f}".chars())
+            .collect();
+        (0..case.usize_in(0, 8))
+            .map(|_| alphabet[case.usize_in(0, alphabet.len())])
+            .collect()
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        varbench_rng::sweep::sweep("json_write_parse_round_trip", 512, |case| {
+            let v = random_json(case, 4);
+            let text = v.to_string();
+            let back = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(back, v, "{text}");
+            assert_eq!(back.to_string(), text);
+        });
     }
 }

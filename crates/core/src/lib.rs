@@ -27,8 +27,9 @@
 //! * [`retry`] — the bounded exponential-backoff [`retry::RetryPolicy`]
 //!   shared by the worker-fleet supervisor and the `query` client
 //!   (pure `Duration` schedule; no wallclock reads);
-//! * [`json`] — a dependency-free JSON value model and parser (the
-//!   reading half of the serve protocol; [`report`] is the writing half);
+//! * [`json`] — the dependency-free JSON value model, parser and
+//!   writer behind every JSON document the workspace reads or writes
+//!   (numbers kept exact);
 //! * [`report`] — structured experiment reports (text/JSON/CSV) and the
 //!   aligned-table formatter behind them;
 //! * [`exec`] — a deterministic scoped-thread work-stealing runner

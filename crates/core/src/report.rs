@@ -8,6 +8,8 @@
 //! renderings expose the same tables machine-readably for downstream
 //! plotting and cross-run comparison.
 
+use crate::json::Json;
+
 /// A simple aligned text table.
 ///
 /// # Example
@@ -206,41 +208,25 @@ impl Report {
 
     /// Renders the report as a self-contained JSON object
     /// (`{"name", "title", "blocks": [...]}`; tables carry `headers` and
-    /// `rows` arrays). Hand-rolled serialization — the workspace has no
-    /// serde — with full string escaping.
+    /// `rows` arrays), written by [`crate::json`].
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"name\":");
-        out.push_str(&json_string(&self.name));
-        out.push_str(",\"title\":");
-        out.push_str(&json_string(&self.title));
-        out.push_str(",\"blocks\":[");
-        for (i, b) in self.blocks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let strings = |cells: &[String]| cells.iter().map(String::as_str).collect::<Json>();
+        let blocks = self.blocks.iter().map(|b| match b {
+            Block::Text(s) => {
+                Json::object(vec![("type", "text".into()), ("text", s.as_str().into())])
             }
-            match b {
-                Block::Text(s) => {
-                    out.push_str("{\"type\":\"text\",\"text\":");
-                    out.push_str(&json_string(s));
-                    out.push('}');
-                }
-                Block::Table(t) => {
-                    out.push_str("{\"type\":\"table\",\"headers\":");
-                    out.push_str(&json_string_array(t.headers()));
-                    out.push_str(",\"rows\":[");
-                    for (j, row) in t.rows().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&json_string_array(row));
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("]}");
-        out
+            Block::Table(t) => Json::object(vec![
+                ("type", "table".into()),
+                ("headers", strings(t.headers())),
+                ("rows", t.rows().iter().map(|row| strings(row)).collect()),
+            ]),
+        });
+        Json::object(vec![
+            ("name", self.name.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("blocks", blocks.collect()),
+        ])
+        .to_string()
     }
 
     /// Renders every table of the report as CSV, each preceded by a
@@ -261,30 +247,6 @@ impl Report {
         }
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", cells.join(","))
 }
 
 /// Formats a float with `prec` decimal places.
@@ -411,7 +373,7 @@ mod tests {
 
     #[test]
     fn json_string_control_chars() {
-        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
+        assert_eq!(Json::from("a\u{1}b").to_string(), "\"a\\u0001b\"");
+        assert_eq!(Json::from("tab\there").to_string(), "\"tab\\there\"");
     }
 }

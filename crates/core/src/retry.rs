@@ -67,11 +67,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A single attempt, no retries: `backoff_after` is always `None`.
-    pub fn once() -> RetryPolicy {
-        RetryPolicy::new(1)
-    }
-
     /// Sets the pause before the first retry (doubles each retry after).
     pub fn initial_backoff(mut self, d: Duration) -> RetryPolicy {
         self.initial = d;
@@ -128,26 +123,6 @@ impl RetryPolicy {
         Some(pause)
     }
 
-    /// Runs `op` under this policy: retried with the scheduled pauses
-    /// (via `std::thread::sleep`) until it succeeds or the policy is
-    /// exhausted, in which case the last error is returned. `op`
-    /// receives the 0-based attempt number.
-    pub fn run<T, E>(&self, mut op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
-        let mut attempt = 0;
-        loop {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => match self.backoff_after(attempt) {
-                    Some(pause) => {
-                        std::thread::sleep(pause);
-                        attempt += 1;
-                    }
-                    None => return Err(e),
-                },
-            }
-        }
-    }
-
     /// The uncapped-by-budget pause after attempt `k`: `initial * 2^k`,
     /// saturating, capped at `max_backoff`.
     fn nominal(&self, k: u32) -> Duration {
@@ -192,41 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn once_never_retries() {
-        assert_eq!(RetryPolicy::once().backoff_after(0), None);
-    }
-
-    #[test]
     fn max_pause_reports_the_per_pause_cap() {
         assert_eq!(
             RetryPolicy::new(2).max_backoff(ms(7)).max_pause(),
             ms(7),
             "clamp for external pacing hints like Retry-After"
         );
-    }
-
-    #[test]
-    fn run_returns_last_error_after_exhaustion() {
-        let p = RetryPolicy::new(3)
-            .initial_backoff(ms(0))
-            .max_backoff(ms(0));
-        let mut calls = 0;
-        let out: Result<(), String> = p.run(|attempt| {
-            calls += 1;
-            Err(format!("boom {attempt}"))
-        });
-        assert_eq!(out, Err("boom 2".to_string()));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn run_stops_on_success() {
-        let p = RetryPolicy::new(5)
-            .initial_backoff(ms(0))
-            .max_backoff(ms(0));
-        let out: Result<u32, ()> =
-            p.run(|attempt| if attempt == 2 { Ok(attempt) } else { Err(()) });
-        assert_eq!(out, Ok(2));
     }
 
     #[test]

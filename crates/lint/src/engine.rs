@@ -366,45 +366,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders diagnostics as the `varbench-lint/1` JSON document.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"path\":{},\"line\":{},\"lint\":{},\"message\":{}}}",
-                json_string(&d.path),
-                d.line,
-                json_string(d.lint),
-                json_string(&d.message)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"varbench-lint/1\",\"diagnostics\":[{}]}}\n",
-        items.join(",")
-    )
-}
-
-/// Minimal JSON string escaping (the crate is dependency-free).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,18 +410,5 @@ mod tests {
         assert_eq!(regions.len(), 1);
         assert!(regions[0].contains(&src.find("step").unwrap()));
         assert!(!regions[0].contains(&src.find("fn cold").unwrap()));
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_newlines() {
-        let d = Diagnostic {
-            path: "a\"b".into(),
-            line: 1,
-            lint: "L001",
-            message: "x\ny".into(),
-        };
-        let doc = render_json(&[d]);
-        assert!(doc.contains("a\\\"b"));
-        assert!(doc.contains("x\\ny"));
     }
 }

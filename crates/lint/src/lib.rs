@@ -41,5 +41,5 @@ pub mod lexer;
 pub mod policy;
 pub mod rules;
 
-pub use engine::{check_file, check_paths, find_workspace_root, render_json, Diagnostic};
+pub use engine::{check_file, check_paths, find_workspace_root, Diagnostic};
 pub use rules::{LintInfo, CATALOGUE};

@@ -108,17 +108,3 @@ fn catalogue_ids_are_stable_and_sorted() {
     let ids: Vec<&str> = varbench_lint::CATALOGUE.iter().map(|l| l.id).collect();
     assert_eq!(ids, vec!["L001", "L002", "L003", "L004", "L005", "L006"]);
 }
-
-#[test]
-fn json_rendering_round_trips_the_finding() {
-    let diags = varbench_lint::check_file(
-        "crates/fake/src/maps.rs",
-        "use std::collections::HashMap;\n",
-    );
-    assert_eq!(diags.len(), 1);
-    let doc = varbench_lint::render_json(&diags);
-    assert!(doc.starts_with("{\"schema\":\"varbench-lint/1\""));
-    assert!(doc.contains("\"lint\":\"L001\""));
-    assert!(doc.contains("\"line\":1"));
-    assert!(doc.contains("crates/fake/src/maps.rs"));
-}

@@ -67,7 +67,7 @@ pub mod workloads;
 pub use cache::{gc_dir, CacheStats, GcReport, MeasureCache, MeasureKey, MeasureKind};
 pub use case_study::{CaseStudy, Scale, SplitSpec};
 pub use hopt::{hopt, run_pipeline, HpoAlgorithm, PipelineResult};
-pub use measure::{MetricKind, ParMap, SerialMap};
+pub use measure::MetricKind;
 pub use variance::{SeedAssignment, VarianceSource};
 pub use workload::Workload;
 pub use workloads::{LinearWorkload, SyntheticWorkload};

@@ -7,11 +7,9 @@ use varbench_models::{metrics, EvalWorkspace, Mlp};
 ///
 /// Each chunk stages its examples into one [`EvalWorkspace`] and scores
 /// them with a single batched forward pass through the batch-GEMM kernels
-/// (allocation-free once the workspace slabs are warm). The chunking is a
-/// fixed function of the pool size — never of the thread count — so
-/// results are bit-identical for every [`ParMap`] strategy; and the
-/// batched kernels preserve each example's per-element accumulation order,
-/// so they are bit-identical to the per-example forward path too.
+/// (allocation-free once the workspace slabs are warm). The batched
+/// kernels preserve each example's per-element accumulation order, so
+/// they are bit-identical to the per-example forward path.
 const EVAL_CHUNK: usize = 64;
 
 thread_local! {
@@ -23,41 +21,6 @@ thread_local! {
     /// buffer, value buffer).
     static EVAL_SCRATCH: std::cell::RefCell<(EvalWorkspace, Vec<usize>, Vec<f64>)> =
         std::cell::RefCell::new((EvalWorkspace::new(), Vec::new(), Vec::new()));
-}
-
-/// Strategy for mapping a function over an index range, preserving index
-/// order in the output.
-///
-/// This is the executor seam of the workspace: `varbench-pipeline` sits
-/// *below* `varbench-core` in the dependency graph, so it cannot name the
-/// work-stealing `Runner` in `varbench_core::exec` directly. Instead the
-/// metric hot paths are generic over this trait; [`SerialMap`] is the
-/// zero-cost default, and `Runner` implements `ParMap` upstream so callers
-/// that hold one can fan per-example evaluation out across cores.
-///
-/// Implementations must call `f` for every index in `0..n` exactly once
-/// and return the results in index order — callers rely on bit-identical
-/// output regardless of how the work is scheduled.
-pub trait ParMap {
-    /// Maps `f` over `0..n`, returning results in index order.
-    fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync;
-}
-
-/// The trivial sequential [`ParMap`]: a plain loop on the calling thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SerialMap;
-
-impl ParMap for SerialMap {
-    fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        (0..n).map(f).collect()
-    }
 }
 
 /// Which metric a case study reports — the `e` of the paper's
@@ -91,26 +54,6 @@ impl MetricKind {
     /// Panics if `indices` is empty or the model head does not match the
     /// dataset's targets.
     pub fn evaluate(&self, model: &Mlp, pool: &Dataset, indices: &[usize]) -> f64 {
-        self.evaluate_with(model, pool, indices, &SerialMap)
-    }
-
-    /// [`MetricKind::evaluate`] with an explicit execution strategy: the
-    /// per-chunk batched forward passes are mapped through `par`, so a parallel
-    /// [`ParMap`] (e.g. `varbench_core::exec::Runner`) spreads a large
-    /// evaluation pool across cores. Results are identical to the serial
-    /// path for any strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or the model head does not match the
-    /// dataset's targets.
-    pub fn evaluate_with<P: ParMap>(
-        &self,
-        model: &Mlp,
-        pool: &Dataset,
-        indices: &[usize],
-        par: &P,
-    ) -> f64 {
         assert!(!indices.is_empty(), "cannot evaluate on an empty set");
         let n = indices.len();
         let chunks = n.div_ceil(EVAL_CHUNK);
@@ -119,8 +62,8 @@ impl MetricKind {
             MetricKind::Accuracy => {
                 // Exact integer hit counts sum associatively, so per-chunk
                 // counting gives the same accuracy as per-example mapping.
-                let hits: usize = par
-                    .map_indexed(chunks, |c| {
+                let hits: usize = (0..chunks)
+                    .map(|c| {
                         let idx = chunk_of(c);
                         EVAL_SCRATCH.with(|s| {
                             let (ws, classes, _) = &mut *s.borrow_mut();
@@ -137,48 +80,50 @@ impl MetricKind {
                                 .count()
                         })
                     })
-                    .into_iter()
                     .sum();
                 hits as f64 / n as f64
             }
             MetricKind::MeanIou => {
-                // Per-example IoUs come back in index order and are summed
-                // sequentially — the same reduction order as `mean_iou`.
-                let ious = par.map_indexed(chunks, |c| {
-                    let idx = chunk_of(c);
-                    EVAL_SCRATCH.with(|s| {
-                        let (ws, _, _) = &mut *s.borrow_mut();
-                        let masks = model.predict_masks_batch_into(
-                            idx.len(),
-                            |si, row| row.copy_from_slice(pool.x(idx[si])),
-                            ws,
-                        );
-                        let m = masks.len() / idx.len();
-                        idx.iter()
-                            .enumerate()
-                            .map(|(si, &i)| {
-                                metrics::mask_iou(&masks[si * m..(si + 1) * m], pool.mask(i))
-                            })
-                            .collect::<Vec<f64>>()
+                // Per-example IoUs are summed in index order — the same
+                // reduction order as `mean_iou`.
+                let iou_sum: f64 = (0..chunks)
+                    .flat_map(|c| {
+                        let idx = chunk_of(c);
+                        EVAL_SCRATCH.with(|s| {
+                            let (ws, _, _) = &mut *s.borrow_mut();
+                            let masks = model.predict_masks_batch_into(
+                                idx.len(),
+                                |si, row| row.copy_from_slice(pool.x(idx[si])),
+                                ws,
+                            );
+                            let m = masks.len() / idx.len();
+                            idx.iter()
+                                .enumerate()
+                                .map(|(si, &i)| {
+                                    metrics::mask_iou(&masks[si * m..(si + 1) * m], pool.mask(i))
+                                })
+                                .collect::<Vec<f64>>()
+                        })
                     })
-                });
-                ious.iter().flatten().sum::<f64>() / n as f64
+                    .sum();
+                iou_sum / n as f64
             }
             MetricKind::Auc => {
-                let scores = par.map_indexed(chunks, |c| {
-                    let idx = chunk_of(c);
-                    EVAL_SCRATCH.with(|s| {
-                        let (ws, _, vals) = &mut *s.borrow_mut();
-                        model.predict_values_batch_into(
-                            idx.len(),
-                            |si, row| row.copy_from_slice(pool.x(idx[si])),
-                            ws,
-                            vals,
-                        );
-                        vals.clone()
+                let scores: Vec<f64> = (0..chunks)
+                    .flat_map(|c| {
+                        let idx = chunk_of(c);
+                        EVAL_SCRATCH.with(|s| {
+                            let (ws, _, vals) = &mut *s.borrow_mut();
+                            model.predict_values_batch_into(
+                                idx.len(),
+                                |si, row| row.copy_from_slice(pool.x(idx[si])),
+                                ws,
+                                vals,
+                            );
+                            vals.clone()
+                        })
                     })
-                });
-                let scores: Vec<f64> = scores.into_iter().flatten().collect();
+                    .collect();
                 let labels: Vec<bool> = indices.iter().map(|&i| pool.value(i) > 0.5).collect();
                 metrics::roc_auc(&scores, &labels)
             }

@@ -114,6 +114,24 @@ esac
 # Remote study through the same server, then a clean shutdown.
 target/release/varbench study synthetic-ridge --test --seeds 3 --json \
     --addr "$addr" > /dev/null
+# Seeds travel exactly: a base seed past 2^53 runs remotely as named
+# (the same bytes as a local run on its own cache), and one past
+# u64::MAX is a 400, not a study at another seed.
+target/release/varbench study synthetic-ridge --test --seeds 3 \
+    --base-seed 9007199254740993 --json --addr "$addr" > "$servedir/seed-served.json"
+VARBENCH_CACHE_DIR="$servedir/seed-cache" target/release/varbench study \
+    synthetic-ridge --test --seeds 3 --base-seed 9007199254740993 --json \
+    > "$servedir/seed-offline.json" 2> /dev/null
+if ! cmp -s "$servedir/seed-served.json" "$servedir/seed-offline.json"; then
+    echo "ERROR: remote study at a base seed past 2^53 differs from the local run" >&2
+    exit 1
+fi
+if target/release/varbench query --addr "$addr" /v1/study \
+    '{"workload":"synthetic-ridge","effort":"test","seeds":3,"base_seed":18446744073709551616}' \
+    > /dev/null 2>&1; then
+    echo "ERROR: a base_seed past u64::MAX was accepted" >&2
+    exit 1
+fi
 target/release/varbench query --addr "$addr" --post /v1/shutdown > /dev/null
 wait "$serve_pid"
 serve_pid=""
