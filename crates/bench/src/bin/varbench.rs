@@ -96,7 +96,9 @@ OPTIONS (worker):
     --cache-dir DIR             shared cache directory (default: the
                                 VARBENCH_CACHE_DIR environment variable)
     --id NAME                   lease owner label (default worker-<pid>)
-    --drain                     exit once the queue is empty (fleet mode)
+    --drain                     exit once the queue is empty, after finding
+                                work (before that, --idle-rounds bounds
+                                the wait for a first job)
     --stop-file FILE            exit before the next claim once FILE exists
                                 (how a supervisor drains its fleet)
     --poll-ms T                 longest pause between idle queue scans
@@ -158,7 +160,7 @@ OPTIONS (lint):
 
 OPTIONS (bench):
     SUITE ...                   suites to run (default: all; see `varbench bench --list`)
-    --quick                     fast smoke knobs (5 reps, 2 ms targets)
+    --quick                     5 reps at 2 ms targets instead of 11 at 5 ms
     --json                      emit the BENCH_*.json snapshot on stdout
                                 (bench lines go to stderr)
     --baseline FILE             compare medians against a committed snapshot
@@ -921,9 +923,9 @@ fn study_command(args: &[String]) {
     }
 }
 
-/// `varbench bench`: run the timing suites in-process and optionally gate
-/// the medians against a committed `BENCH_*.json` snapshot — the shipped
-/// binary reproduces the perf trajectory without cargo.
+/// `varbench bench`: run the timing suites in-process — the one runner
+/// for them — and optionally gate the medians against a committed
+/// `BENCH_*.json` snapshot.
 fn bench_command(args: &[String]) {
     let a = parse("bench", BENCH, args);
     if a.has("--list") {
@@ -955,12 +957,8 @@ fn bench_command(args: &[String]) {
         if !selected.is_empty() && !selected.iter().any(|s| s == name) {
             continue;
         }
-        let mut h = if quick {
-            Harness::with_config(name, 5, 2)
-        } else {
-            Harness::new(name)
-        }
-        .with_output(output);
+        let (reps, target_ms) = if quick { (5, 2) } else { (11, 5) };
+        let mut h = Harness::with_config(name, reps, target_ms).with_output(output);
         body(&mut h);
         results.extend(h.into_results());
     }

@@ -801,7 +801,9 @@ fn write_request(
 /// Reads one Content-Length-framed response. EOF before a complete
 /// response maps to `ConnectionAborted` — the server died mid-exchange,
 /// which is a *transient* transport failure for the retrying clients
-/// (the restarted server answers the retry from its warm cache).
+/// (the restarted server answers the retry from its warm cache). A head
+/// longer than [`MAX_HEAD`] is `InvalidData`, so a peer that never ends
+/// its head cannot grow the buffer without bound.
 fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
     let aborted = || {
         std::io::Error::new(
@@ -809,17 +811,26 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
             "connection closed before a complete response",
         )
     };
+    let too_large =
+        || std::io::Error::new(std::io::ErrorKind::InvalidData, "response head too large");
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
         if let Some(i) = find_head_end(&buf) {
             break i;
         }
+        // The server's own head bound, counted as in `read_request`.
+        if buf.len() > MAX_HEAD + 3 {
+            return Err(too_large());
+        }
         match stream.read(&mut chunk)? {
             0 => return Err(aborted()),
             n => buf.extend_from_slice(&chunk[..n]),
         }
     };
+    if head_end > MAX_HEAD {
+        return Err(too_large());
+    }
     let invalid =
         || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response head");
     let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| invalid())?;
@@ -1626,5 +1637,38 @@ mod tests {
         assert_eq!(status, 200);
         let _ = http_request(addr, "POST", "/v1/shutdown", None).unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn the_client_refuses_a_response_head_past_the_limit() {
+        use std::sync::mpsc;
+
+        // A peer that sends 17 KiB of header lines, never the blank line
+        // that ends a head, and holds the connection open until the
+        // client has answered.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, client_done) = mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+            while head.len() < 17 * 1024 {
+                head.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaa\r\n");
+            }
+            s.write_all(&head).unwrap();
+            let _ = client_done.recv_timeout(Duration::from_secs(60));
+        });
+        let (tx, answer) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let _ = tx.send(http_request(addr, "GET", "/health", None));
+        });
+        let result = answer
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the client still reads an unterminated head past MAX_HEAD");
+        let err = result.expect_err("an oversized head is not a response");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        drop(done);
+        peer.join().unwrap();
+        client.join().unwrap();
     }
 }

@@ -1,7 +1,6 @@
-//! The benchmark suites, shared by the `cargo bench` targets (each
-//! `benches/*.rs` is a thin wrapper) and the `varbench bench` CLI
-//! subcommand — so the perf trajectory in `BENCH_*.json` is reproducible
-//! from the shipped binary without cargo.
+//! The micro-benchmark suites `varbench bench` runs. The suite bodies
+//! are private: [`SUITES`] (in run order) and [`find`] are the only way
+//! in, so the shipped binary is the one runner and needs no cargo.
 
 use crate::timing::{black_box, Harness};
 use varbench_core::compare::compare_paired;
@@ -54,7 +53,7 @@ fn sample(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Dense kernels: matmul (plain and transpose-aware), matvec, Cholesky.
-pub fn linalg(c: &mut Harness) {
+fn linalg(c: &mut Harness) {
     let n = 64;
     let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) as f64 * 0.01).sin());
     let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 7) as f64 * 0.02).cos());
@@ -91,7 +90,7 @@ pub fn linalg(c: &mut Harness) {
 
 /// The batch-GEMM training kernels, at the shapes `Mlp::train` drives
 /// them with on the default architecture (batch 32, 16 → 32 → 2 net).
-pub fn gemm(c: &mut Harness) {
+fn gemm(c: &mut Harness) {
     use varbench_linalg::{compact_nonzero, gemm_col_nz_into, gemm_rows_into, gemm_transb_into};
 
     let (b, d, m) = (32usize, 16usize, 32usize);
@@ -165,7 +164,7 @@ pub fn gemm(c: &mut Harness) {
 }
 
 /// Statistical primitives.
-pub fn stats(c: &mut Harness) {
+fn stats(c: &mut Harness) {
     c.bench_function("normal_quantile", |b| {
         b.iter(|| standard_normal_quantile(black_box(0.975)))
     });
@@ -205,8 +204,8 @@ pub fn stats(c: &mut Harness) {
 
 /// The percentile bootstrap behind every `P(A > B)` comparison (k = 50
 /// pairs, 1000 resamples). The suite keeps its old name so the committed
-/// `BENCH_*.json` snapshots still line up with it.
-pub fn bootstrap_par(c: &mut Harness) {
+/// `BENCH_10_quick.json` baseline still lines up with it.
+fn bootstrap_par(c: &mut Harness) {
     let mut gen = Rng::seed_from_u64(9);
     let a: Vec<f64> = (0..50).map(|_| gen.normal(0.76, 0.02)).collect();
     let b: Vec<f64> = (0..50).map(|_| gen.normal(0.75, 0.02)).collect();
@@ -220,7 +219,7 @@ pub fn bootstrap_par(c: &mut Harness) {
 }
 
 /// Model training and inference.
-pub fn models(c: &mut Harness) {
+fn models(c: &mut Harness) {
     let mut rng = Rng::seed_from_u64(1);
     let ds = binary_overlap(
         &BinaryOverlapConfig {
@@ -296,7 +295,7 @@ pub fn models(c: &mut Harness) {
 /// batch-GEMM kernels — the pair is the honest A/B for the eval rewrite,
 /// since both sides do identical arithmetic and produce bit-identical
 /// outputs. Plus the metric evaluator that sits on top of it.
-pub fn eval(c: &mut Harness) {
+fn eval(c: &mut Harness) {
     use varbench_models::ensemble::{EnsembleBuffer, MlpEnsemble};
     use varbench_models::EvalWorkspace;
     use varbench_pipeline::MetricKind;
@@ -443,7 +442,7 @@ pub fn eval(c: &mut Harness) {
 
 /// Performance estimators on Test-scale pipelines (the end-to-end cost the
 /// library's users pay).
-pub fn estimators(c: &mut Harness) {
+fn estimators(c: &mut Harness) {
     let cs = CaseStudy::glue_rte_bert(Scale::Test);
 
     c.bench_function("pipeline_single_training", |b| {
@@ -480,7 +479,7 @@ pub fn estimators(c: &mut Harness) {
 }
 
 /// Comparison/decision machinery.
-pub fn compare(c: &mut Harness) {
+fn compare(c: &mut Harness) {
     let mut rng = Rng::seed_from_u64(1);
     let a: Vec<f64> = (0..29).map(|_| rng.normal(0.76, 0.02)).collect();
     let b: Vec<f64> = (0..29).map(|_| rng.normal(0.75, 0.02)).collect();
@@ -513,7 +512,7 @@ pub fn compare(c: &mut Harness) {
 /// `route_run_warm_cache` and (after its first iteration)
 /// `route_workloads` time response-memo replays, which neither parse
 /// nor look anything up in the cache.
-pub fn serve(c: &mut Harness) {
+fn serve(c: &mut Harness) {
     use crate::protocol::StudyRequest;
     use crate::serve::{route, ServeState};
     use varbench_core::json::Json;
@@ -581,7 +580,7 @@ pub fn serve(c: &mut Harness) {
 }
 
 /// Hyperparameter optimizers.
-pub fn hpo(c: &mut Harness) {
+fn hpo(c: &mut Harness) {
     fn space() -> SearchSpace {
         SearchSpace::new(vec![
             ("lr".into(), Dim::log_uniform(1e-4, 1e0)),

@@ -1,6 +1,6 @@
-//! Dependency-free micro-benchmark harness (`harness = false` bench
-//! targets), replacing `criterion` so the workspace builds with an empty
-//! cargo registry.
+//! Dependency-free micro-benchmark harness behind `varbench bench`,
+//! replacing `criterion` so the workspace builds with an empty cargo
+//! registry.
 //!
 //! Protocol: each benchmark is auto-calibrated to a per-rep target wall
 //! time, then timed over `reps` repetitions; the reported figure is the
@@ -12,25 +12,14 @@
 //! bench suite=stats name=mean_n10000 iters=4096 reps=11 median_ns=182 min_ns=180 max_ns=190
 //! ```
 //!
-//! Environment knobs:
-//!
-//! * `VARBENCH_BENCH_REPS` — repetitions per benchmark (default 11);
-//! * `VARBENCH_BENCH_TARGET_MS` — calibrated wall time per rep in
-//!   milliseconds (default 5; lower it for smoke runs in CI).
+//! The repetition count and per-rep target are [`Harness::with_config`]
+//! arguments: `varbench bench` passes 11 reps at 5 ms, `--quick` 5 reps
+//! at 2 ms.
 
 use std::time::Instant;
 
 pub use std::hint::black_box;
 use varbench_core::json::Json;
-
-/// Reads a positive integer knob from the environment, with a default.
-fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
 
 /// Times one rep: `iters` back-to-back calls of `f`, total nanoseconds.
 // This module is the one registered wall-clock site (lint L002); the
@@ -123,9 +112,9 @@ impl BenchResult {
 /// [`BenchResult::to_json`] object per line and a trailing newline.
 /// [`parse_snapshot`] inverts it bit-exactly:
 /// `render_snapshot(&parse_snapshot(s)?) == s` for any snapshot this
-/// function produced, which is what keeps the committed `BENCH_*.json`
-/// files machine-readable as fields evolve (pinned by
-/// `crates/bench/tests/snapshot_roundtrip.rs`).
+/// function produced, which is what keeps the committed
+/// `BENCH_10_quick.json` baseline machine-readable as fields evolve
+/// (pinned by `crates/bench/tests/snapshot_roundtrip.rs`).
 pub fn render_snapshot(results: &[BenchResult]) -> String {
     let mut out = String::from("[");
     for (i, r) in results.iter().enumerate() {
@@ -139,8 +128,8 @@ pub fn render_snapshot(results: &[BenchResult]) -> String {
 /// Parses a `BENCH_*.json` snapshot through [`Json::parse`]: an array of
 /// objects with non-empty string `suite`/`name` fields and exact
 /// non-negative integer timing fields, the shape `varbench bench
-/// --json` (and historically `scripts/bench.sh`) emits. Unknown keys are
-/// ignored; a missing timing field reads as 0.
+/// --json` emits. Unknown keys are ignored; a missing timing field
+/// reads as 0.
 ///
 /// # Errors
 ///
@@ -180,8 +169,7 @@ pub fn parse_snapshot(s: &str) -> Result<Vec<BenchResult>, String> {
 /// Where a [`Harness`] prints its per-benchmark result lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Output {
-    /// Print to stdout (the `cargo bench` contract `scripts/bench.sh`
-    /// greps).
+    /// Print to stdout (plain `varbench bench`).
     Stdout,
     /// Print to stderr — used by `varbench bench --json`, whose stdout
     /// must stay a single valid JSON document.
@@ -191,8 +179,8 @@ pub enum Output {
 }
 
 /// Benchmark registry + reporter, mirroring the slice of
-/// `criterion::Criterion` the benches use. Results are printed as they
-/// complete *and* collected for programmatic use ([`Harness::results`]).
+/// `criterion::Criterion` the suites use. Results are printed as they
+/// complete *and* collected ([`Harness::into_results`]).
 pub struct Harness {
     suite: &'static str,
     reps: u64,
@@ -202,19 +190,8 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates a harness for the named suite, reading the environment
-    /// knobs documented at module level.
-    pub fn new(suite: &'static str) -> Self {
-        Harness::with_config(
-            suite,
-            env_knob("VARBENCH_BENCH_REPS", 11),
-            env_knob("VARBENCH_BENCH_TARGET_MS", 5),
-        )
-    }
-
-    /// Creates a harness with explicit knobs (no environment reads):
-    /// `reps` repetitions per benchmark, `target_ms` calibrated wall time
-    /// per rep.
+    /// Creates a harness for the named suite: `reps` repetitions per
+    /// benchmark, `target_ms` calibrated wall time per rep.
     pub fn with_config(suite: &'static str, reps: u64, target_ms: u64) -> Self {
         Harness {
             suite,
@@ -229,11 +206,6 @@ impl Harness {
     pub fn with_output(mut self, output: Output) -> Self {
         self.output = output;
         self
-    }
-
-    /// The results collected so far, in execution order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
     }
 
     /// Consumes the harness, returning the collected results.
@@ -292,8 +264,6 @@ mod tests {
 
     #[test]
     fn harness_runs_registered_benchmarks() {
-        // Explicit knobs: tests must not mutate process environment (other
-        // tests in this binary read it concurrently).
         let mut h = Harness::with_config("selftest", 3, 1);
         let mut ran = false;
         h.bench_function("noop", |b| {

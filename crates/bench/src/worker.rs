@@ -97,8 +97,9 @@ impl Job {
 }
 
 /// Parses a job payload rendered by [`Job::render`]. Returns `Err` for
-/// torn or alien payloads (the worker skips those; `cache gc` reaps
-/// them).
+/// torn or alien payloads and for units the planner never emits and
+/// the worker could not execute (the worker skips those; `cache gc`
+/// reaps them).
 pub fn parse_job(payload: &str) -> Result<Job, String> {
     let mut kind = None;
     let mut fields: Vec<(&str, &str)> = Vec::new();
@@ -152,6 +153,23 @@ pub fn parse_job(payload: &str) -> Result<Job, String> {
                     .parse()
                     .map_err(|_| "bad base-seed".to_string())?,
             };
+            // `Study::plan` never emits these, and executing one would
+            // panic the worker: no rows, a ξ_H unit at budget 0 (ξ_H
+            // exists only for budget > 0), or ξ_H inside a joint unit.
+            let unexecutable = pm.seeds == 0
+                || match &pm.unit {
+                    StudyUnit::HyperOpt => pm.budget == 0,
+                    StudyUnit::Source(src) => src.is_hyperopt() && pm.budget == 0,
+                    StudyUnit::Joint(sources) => sources.iter().any(|s| s.is_hyperopt()),
+                };
+            if unexecutable {
+                return Err(format!(
+                    "unit `{}` cannot run with {} seeds at budget {}",
+                    pm.label(),
+                    pm.seeds,
+                    pm.budget
+                ));
+            }
             Ok(Job {
                 workload: get("workload")?.to_string(),
                 effort: effort(get("effort")?)?,
@@ -178,7 +196,9 @@ pub struct WorkerConfig {
     /// someone else holds count as empty-handed).
     pub idle_rounds: u32,
     /// Exit as soon as the queue is empty instead of waiting
-    /// `idle_rounds` polls for more work to appear.
+    /// `idle_rounds` polls for more work to appear — once the worker has
+    /// seen a queued job. Before that, `idle_rounds` bounds the wait, so
+    /// a fleet started before its driver enqueues still finds the work.
     pub drain: bool,
     /// The executor measurements run on.
     pub runner: Runner,
@@ -266,9 +286,10 @@ fn stop_requested(cfg: &WorkerConfig) -> bool {
 
 /// The worker loop: scan the queue in deterministic stem order, claim
 /// what is claimable, compute, release, repeat — until the queue drains
-/// (`cfg.drain`), `cfg.idle_rounds` scans come up empty-handed, or the
-/// configured stop file appears (checked between jobs, so an in-flight
-/// row always finishes and releases its lease before the exit).
+/// after a scan found work in it (`cfg.drain`), `cfg.idle_rounds` scans
+/// come up empty-handed, or the configured stop file appears (checked
+/// between jobs, so an in-flight row always finishes and releases its
+/// lease before the exit).
 ///
 /// Between empty-handed scans the worker waits up to `cfg.poll`; each
 /// message on `wake` ends one such wait early, including one sent while
@@ -290,9 +311,12 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
     let mut summary = WorkerSummary::default();
     let mut idle = 0u32;
     let mut rung = false;
+    let mut found_work = false;
     loop {
         let mut progressed = false;
-        for id in scan_queue(dir) {
+        let queue = scan_queue(dir);
+        found_work |= !queue.is_empty();
+        for id in queue {
             if stop_requested(cfg) {
                 return summary;
             }
@@ -353,7 +377,7 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
                 Ok(ClaimOutcome::Busy(_)) | Err(_) => {}
             }
         }
-        if stop_requested(cfg) || (cfg.drain && scan_queue(dir).is_empty()) {
+        if stop_requested(cfg) || (cfg.drain && found_work && scan_queue(dir).is_empty()) {
             break;
         }
         if progressed {
@@ -653,6 +677,54 @@ mod tests {
             parse_job("kind artifact\nartifact workload-synth\neffort quick\n"),
             Err("unknown job kind `artifact`".to_string())
         );
+        // Well-formed, but no planner emits them and executing one
+        // panics: a ξ_H unit at budget 0, ξ_H in a joint unit, no rows.
+        let unit = |unit: &str, seeds: usize, budget: usize| {
+            format!(
+                "kind study\nworkload synthetic-ridge\neffort test\nunit {unit}\n\
+                 seeds {seeds}\nalgo Random Search\nbudget {budget}\nbase-seed 7\n"
+            )
+        };
+        for (payload, parses) in [
+            (unit("hyperopt", 3, 0), false),
+            (unit("source hyperopt", 3, 0), false),
+            (unit("joint data_split,hyperopt", 3, 1), false),
+            (unit("source data_split", 0, 1), false),
+            (unit("hyperopt", 3, 1), true),
+            (unit("source hyperopt", 3, 1), true),
+            (unit("source data_split", 3, 0), true),
+        ] {
+            assert_eq!(parse_job(&payload).is_ok(), parses, "{payload}");
+        }
+    }
+
+    #[test]
+    fn a_drain_worker_started_before_the_driver_enqueues_takes_the_job() {
+        let dir = scratch("early-drain");
+        let effort = Effort::Test;
+        let pm = plan_for("synthetic-ridge", effort, 2).remove(0);
+        let w = workloads::find("synthetic-ridge", effort.scale()).unwrap();
+        let key = MeasureKey::new(w.as_ref(), pm.measure_kind(), pm.base_seed);
+        let job = Job {
+            workload: "synthetic-ridge".into(),
+            effort,
+            pm,
+        };
+        let mut cfg = WorkerConfig::new(&dir);
+        cfg.runner = Runner::serial();
+        cfg.poll = Duration::from_millis(5);
+        cfg.idle_rounds = 2_000;
+        // A rendezvous channel: the send returns only once the worker
+        // waits after an empty-handed scan (or has exited), so the job
+        // is enqueued after the worker started.
+        let (ring, rings) = mpsc::sync_channel(0);
+        let worker = std::thread::spawn(move || run_worker(&cfg, &rings));
+        let _ = ring.send(());
+        enqueue(&dir, key.canon(), &job.render()).unwrap();
+        let summary = worker.join().expect("worker thread");
+        assert_eq!(summary.completed, 1, "the drain worker left before the job");
+        assert!(scan_queue(&dir).is_empty(), "queue drained");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
