@@ -1078,8 +1078,9 @@ fn run(args: &[String]) {
         let ctx = RunContext::new(runner, MeasureCache::from_env());
         let reports = registry::run_specs(&specs, effort, &ctx);
         let s = ctx.cache().stats();
+        let f = ctx.cache().fit_stats();
         eprintln!(
-            "cache: {} full hits, {} extensions, {} misses; {} rows computed, {} served; {} hopt records computed ({} fits), {} served{}",
+            "cache: {} full hits, {} extensions, {} misses; {} rows computed, {} served; {} hopt records computed ({} fits), {} served; {} fits trained, {} reused{}",
             s.full_hits,
             s.extensions,
             s.misses,
@@ -1088,6 +1089,8 @@ fn run(args: &[String]) {
             s.records_computed,
             s.record_fits_computed,
             s.records_served,
+            f.trained,
+            f.reused,
             if ctx.cache().is_persistent() { " [disk]" } else { "" },
         );
         reports

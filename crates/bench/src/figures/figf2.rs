@@ -11,7 +11,7 @@
 use crate::args::Effort;
 use crate::registry::RunContext;
 use varbench_core::report::{num, Report, Table};
-use varbench_pipeline::{CaseStudy, HpoAlgorithm, SeedAssignment, VarianceSource};
+use varbench_pipeline::{run_pipeline, CaseStudy, HpoAlgorithm, SeedAssignment, VarianceSource};
 use varbench_stats::describe::{mean, std_dev};
 
 /// Configuration of the Fig. F.2 study.
@@ -74,8 +74,15 @@ pub struct CurveSummary {
     pub test: (f64, f64),
 }
 
-/// Runs the study for one case study.
-pub fn study_case(cs: &CaseStudy, config: &Config, seed: u64) -> Vec<CurveSummary> {
+/// Runs the study for one case study. Its fits go through the context
+/// cache's fit memo: each Bayes Opt run at a budget within its initial
+/// design repeats the Random Search run on the same ξ_H seed.
+pub fn study_case(
+    cs: &CaseStudy,
+    config: &Config,
+    seed: u64,
+    ctx: &RunContext,
+) -> Vec<CurveSummary> {
     let marks: Vec<usize> = [1usize, 2, 5, 10, 25, 50, 100, 200]
         .iter()
         .copied()
@@ -89,7 +96,7 @@ pub fn study_case(cs: &CaseStudy, config: &Config, seed: u64) -> Vec<CurveSummar
             for r in 0..config.reps {
                 let seeds = SeedAssignment::all_fixed(seed)
                     .with_varied(VarianceSource::HyperOpt, r as u64 + 1);
-                let result = cs.run_pipeline(&seeds, algo, config.budget);
+                let result = run_pipeline(cs, &seeds, algo, config.budget, ctx.cache());
                 curves.push(result.history.best_so_far());
                 tests.push(result.test_metric);
             }
@@ -118,9 +125,9 @@ pub fn study_case(cs: &CaseStudy, config: &Config, seed: u64) -> Vec<CurveSummar
 /// Builds the full Fig. F.2 report.
 ///
 /// The optimization *curves* need whole `History` objects, not score
-/// matrices, so this artifact does not use the measurement cache; the
-/// context is accepted for registry uniformity.
-pub fn report_with(config: &Config, _ctx: &RunContext) -> Report {
+/// matrices, so this artifact caches no matrix or record; it uses only
+/// the cache's fit memo.
+pub fn report_with(config: &Config, ctx: &RunContext) -> Report {
     let mut r = Report::new("figf2", "Figure F.2");
     r.text("Figure F.2: HPO best-so-far validation objective (mean +/- std)\n");
     r.text(format!(
@@ -129,7 +136,7 @@ pub fn report_with(config: &Config, _ctx: &RunContext) -> Report {
     ));
     for cs in CaseStudy::all(config.effort.scale()) {
         r.text(format!("== {} ==\n", cs.name()));
-        let summaries = study_case(&cs, config, 0xF16F);
+        let summaries = study_case(&cs, config, 0xF16F, ctx);
         let marks: Vec<usize> = summaries[0]
             .checkpoints
             .iter()
@@ -167,7 +174,7 @@ mod tests {
     #[test]
     fn curves_are_monotone_nonincreasing() {
         let cs = CaseStudy::mhc_mlp(Scale::Test);
-        let summaries = study_case(&cs, &Config::test(), 1);
+        let summaries = study_case(&cs, &Config::test(), 1, &RunContext::serial());
         assert_eq!(summaries.len(), 3);
         for s in &summaries {
             let means: Vec<f64> = s.checkpoints.iter().map(|(_, m, _)| *m).collect();

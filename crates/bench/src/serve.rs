@@ -802,8 +802,9 @@ fn write_request(
 /// response maps to `ConnectionAborted` — the server died mid-exchange,
 /// which is a *transient* transport failure for the retrying clients
 /// (the restarted server answers the retry from its warm cache). A head
-/// longer than [`MAX_HEAD`] is `InvalidData`, so a peer that never ends
-/// its head cannot grow the buffer without bound.
+/// longer than [`MAX_HEAD`], or a `Content-Length` above [`MAX_BODY`],
+/// is `InvalidData` before the body is read, so a peer can grow the
+/// buffers by no more than the server's own limits.
 fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
     let aborted = || {
         std::io::Error::new(
@@ -856,6 +857,12 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<RawResponse> {
         }
     }
     let content_length = content_length.ok_or_else(invalid)?;
+    if content_length > MAX_BODY {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "response body too large",
+        ));
+    }
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
         match stream.read(&mut chunk)? {
@@ -1666,6 +1673,36 @@ mod tests {
             .recv_timeout(Duration::from_secs(20))
             .expect("the client still reads an unterminated head past MAX_HEAD");
         let err = result.expect_err("an oversized head is not a response");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        drop(done);
+        peer.join().unwrap();
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn the_client_refuses_a_content_length_past_the_body_limit() {
+        use std::sync::mpsc;
+
+        // A peer that announces a 1 GB body, sends a few KiB of it and
+        // holds the connection open until the client has answered.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, client_done) = mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut response = b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000\r\n\r\n".to_vec();
+            response.resize(response.len() + 4 * 1024, b'a');
+            s.write_all(&response).unwrap();
+            let _ = client_done.recv_timeout(Duration::from_secs(60));
+        });
+        let (tx, answer) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let _ = tx.send(http_request(addr, "GET", "/health", None));
+        });
+        let result = answer
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the client still waits for a body past MAX_BODY");
+        let err = result.expect_err("an oversized body is not a response");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         drop(done);
         peer.join().unwrap();

@@ -40,6 +40,7 @@
 //! key canon itself is never touched (the L004 firewall): leases
 //! and queue files live beside the records, not inside their keys.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
@@ -309,6 +310,10 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
     let ctx = RunContext::new(cfg.runner, MeasureCache::with_dir(&cfg.cache_dir));
     let dir = cfg.cache_dir.as_path();
     let mut summary = WorkerSummary::default();
+    // Jobs this worker could not parse or execute. A job id is
+    // content-derived, so a later scan would fail the same way: each is
+    // counted and logged once, then passed over.
+    let mut skipped: BTreeSet<String> = BTreeSet::new();
     let mut idle = 0u32;
     let mut rung = false;
     let mut found_work = false;
@@ -319,6 +324,9 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
         for id in queue {
             if stop_requested(cfg) {
                 return summary;
+            }
+            if skipped.contains(&id) {
+                continue;
             }
             let Ok(text) = std::fs::read_to_string(job_path(dir, &id)) else {
                 continue; // dequeued between scan and read
@@ -333,6 +341,7 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
                 Err(e) => {
                     eprintln!("worker {}: skipping job {id}: {e}", cfg.owner);
                     summary.skipped += 1;
+                    skipped.insert(id);
                     continue;
                 }
             };
@@ -371,6 +380,7 @@ pub fn run_worker(cfg: &WorkerConfig, wake: &Receiver<()>) -> WorkerSummary {
                             guard.armed = false;
                             release(dir, &id, &cfg.owner);
                             summary.skipped += 1;
+                            skipped.insert(id.clone());
                         }
                     }
                 }
@@ -939,18 +949,39 @@ mod tests {
     }
 
     #[test]
+    // The poll count is observable only as time slept (lint L002 exempts
+    // test code; the clippy mirror needs an explicit carve-out).
+    #[allow(clippy::disallowed_methods)]
     fn a_worker_without_a_ring_source_polls_until_idle() {
         let dir = scratch("no-ring-source");
-        // Skipped again on every scan: the count of skips is the count
-        // of scans.
         enqueue(&dir, "torn", "not a job\n").unwrap();
         let mut cfg = WorkerConfig::new(&dir);
         cfg.drain = false;
         cfg.idle_rounds = 3;
-        cfg.poll = Duration::from_millis(1);
-        // Never rang and no sender: stdin closed, or a terminal.
+        cfg.poll = Duration::from_millis(50);
+        // Never rang and no sender: stdin closed, or a terminal. Each
+        // empty-handed scan but the last sleeps out one poll.
+        let start = std::time::Instant::now();
         let summary = run_worker(&cfg, &no_rings());
-        assert_eq!(summary.skipped, 3, "one scan per idle round, no early exit");
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed >= cfg.poll * (cfg.idle_rounds - 1),
+            "one poll per idle round, no early exit: {elapsed:?}"
+        );
+        assert_eq!(summary.skipped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_worker_counts_and_logs_a_skipped_job_once() {
+        let dir = scratch("skip-once");
+        enqueue(&dir, "torn", "not a job\n").unwrap();
+        let mut cfg = WorkerConfig::new(&dir);
+        cfg.idle_rounds = 20;
+        cfg.poll = Duration::from_millis(1);
+        let summary = run_worker(&cfg, &no_rings());
+        assert_eq!(summary.skipped, 1, "one torn job, however many scans");
+        assert_eq!(summary.completed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -114,7 +114,7 @@ pub fn ideal_estimator(
             .map(|i| SeedAssignment::all_random(base_seed, i as u64))
             .collect();
         let results = ctx.runner().map_seeds(&seeds, |_, s| {
-            let result = run_pipeline(w, s, algo, budget);
+            let result = run_pipeline(w, s, algo, budget, ctx.cache());
             (result.test_metric, result.fits)
         });
         results
@@ -216,7 +216,7 @@ pub fn hopt_record(
         0,
     );
     ctx.cache().record(&key, || {
-        let (best, history) = hopt(w, fixed, algo, budget);
+        let (best, history) = hopt(w, fixed, algo, budget, ctx.cache());
         (best, history.len())
     })
 }
@@ -275,7 +275,7 @@ pub fn source_variance_study(
             .collect();
         ctx.runner().map_seeds(&seeds, |_, s| {
             if source.is_hyperopt() {
-                run_pipeline(w, s, algo, budget).test_metric
+                run_pipeline(w, s, algo, budget, ctx.cache()).test_metric
             } else {
                 w.run_with_params(&params, s)
             }

@@ -28,6 +28,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable read by [`Runner::from_env`] to pick the thread
 /// count (`0` or unset = all available cores, `1` = serial).
@@ -120,8 +121,15 @@ impl Runner {
     /// `VARBENCH_THREADS=100000` must not exhaust OS thread limits.
     /// Results never depend on the thread count, so clamping is
     /// observable only in wall-clock time.
+    ///
+    /// The core count is read once, at the process's first runner, and
+    /// reused after: `available_parallelism` queries the affinity mask
+    /// and cgroup files, which costs microseconds per call. Every CLI
+    /// entry point builds its runner at start anyway.
     pub fn new(threads: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let threads = if threads == 0 {
             cores
         } else {
@@ -289,7 +297,11 @@ mod tests {
 
     #[test]
     fn zero_thread_request_means_available_cores() {
-        assert!(Runner::new(0).threads() >= 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Runner::new(0).threads(), cores);
+        // The second runner reads the remembered count.
+        assert_eq!(Runner::new(0).threads(), cores);
+        assert_eq!(Runner::new(usize::MAX).threads(), cores * 8);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! randomization set, budget and seed tree — so a run of several
 //! artifacts can share them instead of recomputing.
 //!
-//! [`MeasureCache`] memoizes two entry shapes:
+//! [`MeasureCache`] memoizes three entry shapes:
 //!
 //! * **matrices** ([`MeasureCache::matrix`]) — score matrices whose rows
 //!   are derived from per-row seeds independent of the total row count.
@@ -19,7 +19,19 @@
 //!   cache stores the longest matrix seen and serves prefixes, extending
 //!   on demand by computing only the missing tail rows;
 //! * **records** ([`MeasureCache::record`]) — fixed-shape results such as
-//!   a hyperparameter-optimization outcome (best parameters + fit count).
+//!   a hyperparameter-optimization outcome (best parameters + fit count);
+//! * **fits** — the score of one model fit (an HPO trial's validation
+//!   metric or a final retrain's test metric), keyed by the fit's exact
+//!   input: workload identity, which score, parameter bits and the full
+//!   seed assignment. [`crate::hopt()`] and [`crate::run_pipeline`] route
+//!   every fit through it, so an input that several HPO procedures share
+//!   (Bayesian optimization's initial design is random search's first
+//!   trials; a budget sweep re-runs its shorter budgets' trials) trains
+//!   once per run. The fit memo is **memory-only** — nothing is written
+//!   to disk, so the record format is untouched — and **bounded**: at
+//!   [`FIT_MEMO_CAPACITY`] entries it is dropped whole, and an evicted
+//!   fit simply trains again to the same bits. Its counts are read with
+//!   [`MeasureCache::fit_stats`].
 //!
 //! Values are memoized bit-exactly: a cached value is the `f64` bits the
 //! compute closure produced, so cached and uncached paths are
@@ -28,7 +40,8 @@
 //! The store is in-memory by default; setting [`CACHE_DIR_ENV`]
 //! (`VARBENCH_CACHE_DIR`) — or constructing with
 //! [`MeasureCache::with_dir`] — adds a write-through on-disk store of
-//! versioned, hashed records so measurements survive across processes.
+//! versioned, hashed matrix and record entries so measurements survive
+//! across processes.
 //!
 //! # Concurrency model
 //!
@@ -74,7 +87,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::faultpoint::faultpoint;
-use crate::variance::VarianceSource;
+use crate::variance::{SeedAssignment, VarianceSource};
 use crate::workload::Workload;
 
 /// Environment variable naming the optional on-disk store directory.
@@ -296,6 +309,115 @@ struct CacheState {
     stats: CacheStats,
 }
 
+/// Entries the fit memo holds before it is dropped whole. `run all
+/// --quick` makes 6,573 entries, so it never evicts there; at roughly
+/// 200 B an entry, a full memo is under 2 MB. Repeated fits sit close
+/// together in time (the HPO procedures of one study row), so dropping
+/// everything at the bound loses little, and a long-lived `serve` or
+/// `worker` process, which rarely repeats a fit, cannot grow it further.
+pub const FIT_MEMO_CAPACITY: usize = 8192;
+
+/// Which score a memoized fit produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum FitScore {
+    /// The validation metric after training on the train portion
+    /// ([`Workload::run_valid`]): one HPO trial.
+    Valid,
+    /// The test metric after retraining on train+valid
+    /// ([`Workload::run_with_params`]): a pipeline's final retrain.
+    Test,
+}
+
+/// The exact input of one fit: a fit is a pure function of it (the
+/// [`Workload`] determinism contract), so equal keys score equal bits.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct FitKey {
+    /// [`Workload::cache_id`], shared by every key of one workload.
+    workload: Arc<str>,
+    fingerprint: u64,
+    score: FitScore,
+    params: Vec<u64>,
+    seeds: [u64; 7],
+}
+
+/// The fit memo's store and counters.
+#[derive(Default)]
+struct FitTable {
+    /// Metric bits by fit input.
+    scores: BTreeMap<FitKey, u64>,
+    trained: u64,
+    reused: u64,
+}
+
+/// Fit-memo accounting, readable via [`MeasureCache::fit_stats`]. Kept
+/// apart from [`CacheStats`]: these count trainings, while
+/// `record_fits_computed` is the paper's cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitStats {
+    /// Fits trained through the memo (every such fit on a disabled
+    /// cache, which memoizes nothing).
+    pub trained: u64,
+    /// Fits answered from the memo instead of training again.
+    pub reused: u64,
+    /// Entries the memo holds now (at most [`FIT_MEMO_CAPACITY`]).
+    pub held: usize,
+}
+
+/// One cache's fit memo bound to one workload, whose identity it
+/// computes once: [`MeasureCache::fit_memo`] builds one per HPO
+/// procedure or pipeline.
+pub(crate) struct FitMemo<'c> {
+    cache: &'c MeasureCache,
+    /// `cache_id` and fingerprint; `None` on a disabled cache.
+    workload: Option<(Arc<str>, u64)>,
+}
+
+impl FitMemo<'_> {
+    /// The `score` of the fit of `params` under `seeds`: the memoized
+    /// bits when this cache has trained the same input before,
+    /// otherwise `train()`'s, remembered.
+    ///
+    /// The memo's lock is held only to look up and to insert, never
+    /// while training, so fits train in parallel; two threads racing on
+    /// one key may both train, and both get the same bits.
+    pub(crate) fn score(
+        &self,
+        score: FitScore,
+        params: &[f64],
+        seeds: &SeedAssignment,
+        train: impl FnOnce() -> f64,
+    ) -> f64 {
+        let table = &self.cache.fits;
+        let Some((workload, fingerprint)) = &self.workload else {
+            let value = train();
+            table.lock().expect("fit memo lock").trained += 1;
+            return value;
+        };
+        let key = FitKey {
+            workload: Arc::clone(workload),
+            fingerprint: *fingerprint,
+            score,
+            params: params.iter().map(|p| p.to_bits()).collect(),
+            seeds: VarianceSource::ALL.map(|source| seeds.seed_of(source)),
+        };
+        {
+            let mut t = table.lock().expect("fit memo lock");
+            if let Some(&bits) = t.scores.get(&key) {
+                t.reused += 1;
+                return f64::from_bits(bits);
+            }
+        }
+        let value = train();
+        let mut t = table.lock().expect("fit memo lock");
+        t.trained += 1;
+        if t.scores.len() >= FIT_MEMO_CAPACITY {
+            t.scores.clear();
+        }
+        t.scores.insert(key, value.to_bits());
+        value
+    }
+}
+
 /// One in-flight computation that concurrent same-key lookups can wait
 /// on instead of recomputing.
 #[derive(Default)]
@@ -345,6 +467,9 @@ pub struct MeasureCache {
     state: Mutex<CacheState>,
     /// In-flight computations by canonical key (request coalescing).
     inflight: Mutex<BTreeMap<String, Arc<Flight>>>,
+    /// The memory-only fit memo, behind its own lock so fit lookups
+    /// never queue behind matrix and record accounting.
+    fits: Mutex<FitTable>,
     dir: Option<PathBuf>,
     off: bool,
 }
@@ -357,10 +482,10 @@ impl MeasureCache {
 
     /// A no-op cache: every lookup misses and nothing is ever stored —
     /// the behaviour of the pre-cache serial measurement path, used by
-    /// the default serial `RunContext`. (The CLI's `--no-cache` flag
-    /// instead gives each artifact a private in-memory cache, preserving
-    /// intra-artifact memoization.) Work accounting still counts what
-    /// was computed.
+    /// the default serial `RunContext`. It keeps no fit memo either, so
+    /// every fit trains. (The CLI's `--no-cache` flag instead gives each
+    /// artifact a private in-memory cache, preserving intra-artifact
+    /// memoization.) Work accounting still counts what was computed.
     pub fn disabled() -> MeasureCache {
         MeasureCache {
             off: true,
@@ -406,7 +531,28 @@ impl MeasureCache {
         self.state.lock().expect("cache lock").stats
     }
 
-    /// Number of distinct entries currently held in memory.
+    /// A snapshot of the fit memo's counts.
+    pub fn fit_stats(&self) -> FitStats {
+        let t = self.fits.lock().expect("fit memo lock");
+        FitStats {
+            trained: t.trained,
+            reused: t.reused,
+            held: t.scores.len(),
+        }
+    }
+
+    /// The fit memo bound to `workload`. Its identity — `cache_id` and
+    /// the fingerprint, which formats the search space — is computed
+    /// here, once, and not at all on a disabled cache.
+    pub(crate) fn fit_memo(&self, workload: &dyn Workload) -> FitMemo<'_> {
+        FitMemo {
+            cache: self,
+            workload: (!self.off).then(|| (Arc::from(workload.cache_id()), workload.fingerprint())),
+        }
+    }
+
+    /// Number of distinct matrix and record entries currently held in
+    /// memory (the fit memo is counted by [`MeasureCache::fit_stats`]).
     pub fn len(&self) -> usize {
         self.state.lock().expect("cache lock").entries.len()
     }
@@ -1179,6 +1325,95 @@ mod tests {
         assert_eq!(v, v2);
         assert_eq!(fits, 2);
         assert_eq!(cache.stats().records_computed, 2, "recomputed every time");
+    }
+
+    #[test]
+    fn fit_memo_trains_each_exact_input_once() {
+        let cache = MeasureCache::new();
+        let w = Fake::new(1, 0.5);
+        let memo = cache.fit_memo(&w);
+        let seeds = crate::SeedAssignment::all_fixed(3);
+        let trained = std::cell::Cell::new(0);
+        let fit = |score, params: &[f64], seeds: &crate::SeedAssignment| {
+            memo.score(score, params, seeds, || {
+                trained.set(trained.get() + 1);
+                params[0] * 0.5 + seeds.seed_of(VarianceSource::DataSplit) as f64
+            })
+        };
+        let a = fit(FitScore::Valid, &[0.25], &seeds);
+        assert_eq!(fit(FitScore::Valid, &[0.25], &seeds).to_bits(), a.to_bits());
+        assert_eq!(trained.get(), 1, "an identical input is answered");
+        // Every part of the input separates entries: which score, the
+        // parameter bits, any one seed, and the workload identity.
+        fit(FitScore::Test, &[0.25], &seeds);
+        fit(FitScore::Valid, &[-0.0], &seeds);
+        fit(FitScore::Valid, &[0.0], &seeds);
+        fit(
+            FitScore::Valid,
+            &[0.25],
+            &seeds.with_varied(VarianceSource::Dropout, 9),
+        );
+        assert_eq!(trained.get(), 5);
+        let other = Fake::new(2, 0.5);
+        let other_memo = cache.fit_memo(&other);
+        other_memo.score(FitScore::Valid, &[0.25], &seeds, || 1.0);
+        assert_eq!(
+            cache.fit_stats(),
+            FitStats {
+                trained: 6,
+                reused: 1,
+                held: 6
+            }
+        );
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "no CacheStats counter moves"
+        );
+        assert!(cache.is_empty(), "fits are not matrix or record entries");
+    }
+
+    #[test]
+    fn fit_memo_is_bounded_and_an_evicted_fit_returns_the_same_bits() {
+        let cache = MeasureCache::new();
+        let w = Fake::new(1, 0.5);
+        let memo = cache.fit_memo(&w);
+        let seeds = crate::SeedAssignment::all_fixed(4);
+        let value = |i: usize| (i as f64).sqrt() * 0.1;
+        for i in 0..FIT_MEMO_CAPACITY + 10 {
+            memo.score(FitScore::Valid, &[i as f64], &seeds, || value(i));
+            assert!(cache.fit_stats().held <= FIT_MEMO_CAPACITY, "fit {i}");
+        }
+        let s = cache.fit_stats();
+        assert_eq!(s.held, 10, "dropped whole at the bound");
+        assert_eq!(s.trained, (FIT_MEMO_CAPACITY + 10) as u64);
+        // An evicted fit trains again, to the same bits; a held one does not.
+        let again = memo.score(FitScore::Valid, &[0.0], &seeds, || value(0));
+        assert_eq!(again.to_bits(), value(0).to_bits());
+        let last = FIT_MEMO_CAPACITY + 9;
+        let held = memo.score(FitScore::Valid, &[last as f64], &seeds, || unreachable!());
+        assert_eq!(held.to_bits(), value(last).to_bits());
+        let s = cache.fit_stats();
+        assert_eq!((s.trained, s.reused), ((FIT_MEMO_CAPACITY + 11) as u64, 1));
+    }
+
+    #[test]
+    fn a_disabled_cache_keeps_no_fit_memo() {
+        let cache = MeasureCache::disabled();
+        let w = Fake::new(1, 0.5);
+        let memo = cache.fit_memo(&w);
+        let seeds = crate::SeedAssignment::all_fixed(5);
+        let a = memo.score(FitScore::Valid, &[0.5], &seeds, || 0.75);
+        let b = memo.score(FitScore::Valid, &[0.5], &seeds, || 0.75);
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(
+            cache.fit_stats(),
+            FitStats {
+                trained: 2,
+                reused: 0,
+                held: 0
+            }
+        );
     }
 
     #[test]

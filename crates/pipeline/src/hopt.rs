@@ -2,6 +2,7 @@
 //! (paper Eq. 2) — and the complete pipeline `P(S_tv)` (Eq. 3), generic
 //! over any [`Workload`].
 
+use crate::cache::{FitMemo, FitScore, MeasureCache};
 use crate::case_study::CaseStudy;
 use crate::variance::{SeedAssignment, VarianceSource};
 use crate::workload::Workload;
@@ -94,11 +95,28 @@ pub struct PipelineResult {
 /// holding all ξ_O seeds fixed, with the ξ_H stream driving the
 /// optimizer. Returns the best parameters and the trial history.
 ///
+/// Each trial's fit goes through `cache`'s fit memo, so a trial input
+/// the cache has trained before (another procedure's identical trial)
+/// is not trained again; the history is bit-identical either way. A
+/// disabled cache trains every trial.
+///
 /// # Panics
 ///
 /// Panics if `budget == 0`.
 pub fn hopt(
     workload: &dyn Workload,
+    seeds: &SeedAssignment,
+    algo: HpoAlgorithm,
+    budget: usize,
+    cache: &MeasureCache,
+) -> (Vec<f64>, History) {
+    tune(workload, &cache.fit_memo(workload), seeds, algo, budget)
+}
+
+/// [`hopt`] over a fit memo already bound to `workload`.
+fn tune(
+    workload: &dyn Workload,
+    fits: &FitMemo<'_>,
     seeds: &SeedAssignment,
     algo: HpoAlgorithm,
     budget: usize,
@@ -110,7 +128,9 @@ pub fn hopt(
         seeds.seed_of(VarianceSource::HyperOpt),
     );
     let history = minimize(optimizer.as_mut(), budget, |params| {
-        1.0 - workload.run_valid(params, seeds)
+        1.0 - fits.score(FitScore::Valid, params, seeds, || {
+            workload.run_valid(params, seeds)
+        })
     });
     let best = history.best().expect("non-empty history").params.clone();
     (best, history)
@@ -120,6 +140,10 @@ pub fn hopt(
 /// on any workload: HOpt, retrain on train+valid with the selected λ̂*,
 /// measure on the held-out test set.
 ///
+/// The trials and the final retrain go through `cache`'s fit memo (see
+/// [`hopt`]). [`PipelineResult::fits`] is the paper's cost model,
+/// `budget + 1`, whichever fits the memo answered.
+///
 /// # Panics
 ///
 /// Panics if `budget == 0`.
@@ -128,9 +152,13 @@ pub fn run_pipeline(
     seeds: &SeedAssignment,
     algo: HpoAlgorithm,
     budget: usize,
+    cache: &MeasureCache,
 ) -> PipelineResult {
-    let (best_params, history) = hopt(workload, seeds, algo, budget);
-    let test_metric = workload.run_with_params(&best_params, seeds);
+    let fits = cache.fit_memo(workload);
+    let (best_params, history) = tune(workload, &fits, seeds, algo, budget);
+    let test_metric = fits.score(FitScore::Test, &best_params, seeds, || {
+        workload.run_with_params(&best_params, seeds)
+    });
     PipelineResult {
         best_params,
         history,
@@ -140,7 +168,8 @@ pub fn run_pipeline(
 }
 
 impl CaseStudy {
-    /// [`hopt`] on this case study (convenience inherent form).
+    /// [`hopt`] on this case study (convenience inherent form), with no
+    /// fit memo: every trial trains.
     ///
     /// # Panics
     ///
@@ -151,10 +180,11 @@ impl CaseStudy {
         algo: HpoAlgorithm,
         budget: usize,
     ) -> (Vec<f64>, History) {
-        hopt(self, seeds, algo, budget)
+        hopt(self, seeds, algo, budget, &MeasureCache::disabled())
     }
 
-    /// [`run_pipeline`] on this case study (convenience inherent form).
+    /// [`run_pipeline`] on this case study (convenience inherent form),
+    /// with no fit memo: every fit trains.
     ///
     /// # Panics
     ///
@@ -165,7 +195,7 @@ impl CaseStudy {
         algo: HpoAlgorithm,
         budget: usize,
     ) -> PipelineResult {
-        run_pipeline(self, seeds, algo, budget)
+        run_pipeline(self, seeds, algo, budget, &MeasureCache::disabled())
     }
 }
 
@@ -222,8 +252,9 @@ mod tests {
         // against drift).
         let cs = CaseStudy::mhc_mlp(Scale::Test);
         let seeds = SeedAssignment::all_fixed(6);
-        let result = run_pipeline(&cs, &seeds, HpoAlgorithm::RandomSearch, 3);
-        let (best, history) = hopt(&cs, &seeds, HpoAlgorithm::RandomSearch, 3);
+        let cache = MeasureCache::disabled();
+        let result = run_pipeline(&cs, &seeds, HpoAlgorithm::RandomSearch, 3, &cache);
+        let (best, history) = hopt(&cs, &seeds, HpoAlgorithm::RandomSearch, 3, &cache);
         assert_eq!(result.best_params, best);
         assert_eq!(result.history, history);
         assert_eq!(result.test_metric, cs.run_with_params(&best, &seeds));

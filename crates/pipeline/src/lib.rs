@@ -26,7 +26,9 @@
 //! * [`cache::MeasureCache`] memoizes case-study score matrices
 //!   content-addressed by (case study, scale, randomization set, budget,
 //!   seed tree), so the figure artifacts share measurements instead of
-//!   recomputing them (optionally persisted via `VARBENCH_CACHE_DIR`);
+//!   recomputing them (optionally persisted via `VARBENCH_CACHE_DIR`),
+//!   and keeps a bounded, memory-only memo of single fits that [`hopt`]
+//!   and [`run_pipeline`] route their trials and retrains through;
 //! * [`lease`] implements crash-safe work leases *beside* those records
 //!   (atomic create-claim, generation stamps, driver reclaim) — the
 //!   coordination substrate of the `varbench worker` fleet — and
@@ -64,7 +66,7 @@ mod variance;
 pub mod workload;
 pub mod workloads;
 
-pub use cache::{gc_dir, CacheStats, GcReport, MeasureCache, MeasureKey, MeasureKind};
+pub use cache::{gc_dir, CacheStats, FitStats, GcReport, MeasureCache, MeasureKey, MeasureKind};
 pub use case_study::{CaseStudy, Scale, SplitSpec};
 pub use hopt::{hopt, run_pipeline, HpoAlgorithm, PipelineResult};
 pub use measure::MetricKind;

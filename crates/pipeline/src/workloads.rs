@@ -379,7 +379,13 @@ mod tests {
             &SyntheticWorkload::new(Scale::Test),
         ] {
             let seeds = SeedAssignment::all_fixed(9);
-            let result = crate::hopt::run_pipeline(w, &seeds, crate::HpoAlgorithm::RandomSearch, 3);
+            let result = crate::hopt::run_pipeline(
+                w,
+                &seeds,
+                crate::HpoAlgorithm::RandomSearch,
+                3,
+                &crate::MeasureCache::disabled(),
+            );
             assert!(
                 result.test_metric > 0.5 && result.test_metric <= 1.0,
                 "{}: {}",

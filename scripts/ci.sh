@@ -39,11 +39,15 @@ target/release/varbench list
 target/release/varbench workloads --test
 # The test-effort bytes are committed: any change to what an artifact
 # computes (e.g. the bootstrap's random stream) must update the golden.
-target/release/varbench run all --test --json > "$scratch/run_all_test.json"
-if ! cmp "$scratch/run_all_test.json" tests/golden/run_all_test.json; then
-    echo "ERROR: run all --test --json differs from tests/golden/run_all_test.json" >&2
-    exit 1
-fi
+# Both at default threads and serially: the serial run is the one whose
+# fit-memo hits are deterministic.
+for mode in "" --serial; do
+    target/release/varbench run all --test --json $mode > "$scratch/run_all_test.json"
+    if ! cmp "$scratch/run_all_test.json" tests/golden/run_all_test.json; then
+        echo "ERROR: run all --test --json $mode differs from tests/golden/run_all_test.json" >&2
+        exit 1
+    fi
+done
 # The two non-MLP workloads must produce variance reports end to end.
 target/release/varbench run workload-linear workload-synth --test > /dev/null
 target/release/varbench cache stats

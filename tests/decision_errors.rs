@@ -1,7 +1,9 @@
 //! Integration tests of the decision criteria's error rates, reproducing
 //! the paper's Section 4 claims at reduced simulation scale.
 
-use varbench::core::compare::{average_comparison, compare_paired, single_point_comparison};
+use varbench::core::compare::{
+    average_comparison, compare_paired, single_point_comparison, Decision,
+};
 use varbench::core::simulation::{
     detection_study, oracle_power, simulate_measures, DetectionConfig, SimEstimator, SimulatedTask,
 };
@@ -278,6 +280,42 @@ fn noether_sample_sizes_reach_their_planned_power() {
         assert!(
             size <= alpha + 3.0 * se(alpha),
             "gamma={gamma}, alpha={alpha}, beta={beta}, N={n}: size {size} > {alpha}"
+        );
+    }
+}
+
+#[test]
+fn comparison_false_positives_at_the_null_stay_under_alpha_across_gamma() {
+    // At P(A > B) = 0.5 no difference is meaningful, so every
+    // `SignificantAndMeaningful` verdict is a false positive. For each
+    // gamma, A and B draw N i.i.d. N(0, 1) measures each, where N is the
+    // Noether size `ComparisonProcedure` plans for itself at that gamma
+    // (alpha = beta = 0.05), and `compare_paired` decides at alpha = 0.05
+    // with the procedure's 1,000 resamples. The rate must stay at most
+    // alpha + 3 Monte-Carlo standard errors in every cell. These seeds
+    // read 0.025 / 0.0225 / 0.025 / 0.0475 / 0.0175 at N = 181 / 46 / 29
+    // / 21 / 12: about alpha / 2, since significance needs the lower end
+    // of a two-sided interval above 0.5, with the bootstrap's lattice
+    // at small N moving the rate by a few points.
+    let (alpha, beta, resamples, trials) = (0.05, 0.05, 1000, 400);
+    let se = (alpha * (1.0 - alpha) / trials as f64).sqrt();
+    let tree = SeedTree::new(31);
+    for (cell, gamma) in [0.6, 0.7, 0.75, 0.8, 0.9].into_iter().enumerate() {
+        let n = noether_sample_size(gamma, alpha, beta);
+        let point = tree.subtree_indexed("gamma", cell as u64);
+        let positives = (0..trials)
+            .filter(|&trial| {
+                let mut rng = point.rng_indexed("trial", trial as u64);
+                let a: Vec<f64> = (0..n).map(|_| rng.normal(0.0, 1.0)).collect();
+                let b: Vec<f64> = (0..n).map(|_| rng.normal(0.0, 1.0)).collect();
+                compare_paired(&a, &b, gamma, alpha, resamples, &mut rng).decision
+                    == Decision::SignificantAndMeaningful
+            })
+            .count();
+        let rate = positives as f64 / trials as f64;
+        assert!(
+            rate <= alpha + 3.0 * se,
+            "gamma={gamma}, N={n}: false-positive rate {rate} > {alpha} + 3 SE ({se:.4})"
         );
     }
 }
