@@ -298,6 +298,31 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// A runtime failure of a well-formed command: exit 1 and no usage line,
+/// so scripts can tell it from a usage error (exit 2).
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+/// [`die`] for a request that failed in transport. Only a
+/// connection-level error hints that no server may be listening there;
+/// `InvalidData` means a response arrived and was refused. A socket
+/// read timeout surfaces as `WouldBlock` on Unix.
+fn transport_failed(what: &str, e: &std::io::Error) -> ! {
+    use std::io::ErrorKind;
+    let hint = match e.kind() {
+        ErrorKind::ConnectionRefused
+        | ErrorKind::ConnectionReset
+        | ErrorKind::ConnectionAborted
+        | ErrorKind::NotConnected
+        | ErrorKind::TimedOut
+        | ErrorKind::WouldBlock => " (is `varbench serve` running there?)",
+        _ => "",
+    };
+    die(&format!("{what}: {e}{hint}"))
+}
+
 /// Parses a subcommand's arguments, or exits with a usage error.
 fn parse(cmd: &str, tables: &[&[Flag]], args: &[String]) -> Args {
     Args::parse(cmd, tables, args).unwrap_or_else(|e| fail(&e))
@@ -715,14 +740,11 @@ fn query_command(args: &[String]) {
     let policy = RetryPolicy::new(retries.saturating_add(1)).budget(budget);
     let (status, response) = http_request_retry(resolve_addr(addr), method, path, body, &policy)
         .unwrap_or_else(|e| {
-            // Exhausted transport retries is a runtime failure (exit 1),
-            // not a usage error: scripts distinguish the two.
-            eprintln!(
-                "error: request to {addr} failed after {} attempt(s): {e} \
-                 (is `varbench serve` running there?)",
+            let what = format!(
+                "request to {addr} failed after {} attempt(s)",
                 policy.attempts()
             );
-            std::process::exit(1);
+            transport_failed(&what, &e)
         });
     print!("{response}");
     if status != 200 {
@@ -868,14 +890,10 @@ fn study_command(args: &[String]) {
             "/v1/study",
             Some(&req.to_json()),
         )
-        .unwrap_or_else(|e| {
-            fail(&format!(
-                "request to {addr} failed: {e} (is `varbench serve` running there?)"
-            ))
-        });
+        .unwrap_or_else(|e| transport_failed(&format!("request to {addr} failed"), &e));
         if status != 200 {
             eprint!("{response}");
-            fail(&format!("server rejected the study (HTTP {status})"));
+            die(&format!("server rejected the study (HTTP {status})"));
         }
         // The server's envelope is byte-identical to local --json output.
         print!("{response}");

@@ -1,6 +1,7 @@
 //! The `varbench` command line end to end: usage errors, `study
-//! --workers 0`, retry and respawn counts at the top of their range, and
-//! the `lint --json` document.
+//! --workers 0`, retry and respawn counts at the top of their range,
+//! transport failures (exit 1, with the no-server hint only when no
+//! response arrived), and the `lint --json` document.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -94,6 +95,53 @@ fn query_with_the_largest_retry_count_reports_the_transport_error() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let err = stderr(&out);
     assert!(err.contains("request to 127.0.0.1:1 failed"), "{err}");
+}
+
+#[test]
+fn a_remote_study_nobody_answers_is_a_runtime_failure() {
+    let out = varbench()
+        .args("study synthetic-ridge --test --addr 127.0.0.1:1".split(' '))
+        .output()
+        .expect("run study");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("request to 127.0.0.1:1 failed"), "{err}");
+    assert!(err.contains("is `varbench serve` running there?"), "{err}");
+    assert!(!err.contains("for usage"), "not a usage error: {err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_refused_response_exits_1_without_the_no_server_hint() {
+    // A peer that answers, but announces a body past the client's cap.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let peer = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut request = Vec::new();
+        let mut chunk = [0u8; 1024];
+        while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => request.extend_from_slice(&chunk[..n]),
+            }
+        }
+        let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000\r\n\r\n{");
+    });
+    let out = varbench()
+        .args(["query", "--addr", &addr, "/health"])
+        .output()
+        .expect("run query");
+    peer.join().expect("peer thread");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("response body too large"), "{err}");
+    assert!(
+        !err.contains("running there"),
+        "a response did arrive: {err}"
+    );
+    assert!(!err.contains("for usage"), "not a usage error: {err}");
 }
 
 #[test]

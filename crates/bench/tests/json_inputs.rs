@@ -12,7 +12,7 @@
 use varbench_bench::protocol::StudyRequest;
 use varbench_bench::timing::{parse_snapshot, render_snapshot};
 use varbench_core::json::Json;
-use varbench_rng::sweep::{sweep, Case};
+use varbench_rng::sweep::sweep;
 
 const STUDY_BODY: &str = concat!(
     r#"{"workload":"synthetic-ridge","effort":"test","sources":["data_split"],"#,
@@ -33,10 +33,6 @@ fn inputs() -> Vec<Vec<u8>> {
         STUDY_BODY.as_bytes().to_vec(),
         repo_file("BENCH_10_quick.json").into_bytes(),
     ]
-}
-
-fn pick<'a>(case: &mut Case, inputs: &'a [Vec<u8>]) -> &'a [u8] {
-    &inputs[case.usize_in(0, inputs.len())]
 }
 
 /// Feeds `bytes` to every reader. Each must answer rather than panic,
@@ -81,8 +77,8 @@ fn unmodified_inputs_are_accepted() {
 fn truncated_inputs_never_panic() {
     let inputs = inputs();
     sweep("json_inputs_truncated", 300, |case| {
-        let input = pick(case, &inputs);
-        read_all(&input[..case.usize_in(0, input.len() + 1)]);
+        let input = case.pick(&inputs);
+        read_all(case.truncated(input));
     });
 }
 
@@ -93,16 +89,8 @@ fn mutated_inputs_never_panic() {
     const STEER: &[u8] = b"{}[],:\"\\/-+.eE0129untflr \n\t\x00\x1f\x7f\xc3\xff";
     let inputs = inputs();
     sweep("json_inputs_mutated", 300, |case| {
-        let mut bytes = pick(case, &inputs).to_vec();
-        for _ in 0..case.usize_in(1, 6) {
-            let at = case.usize_in(0, bytes.len());
-            bytes[at] = if case.usize_in(0, 2) == 0 {
-                STEER[case.usize_in(0, STEER.len())]
-            } else {
-                case.rng().next_u64() as u8
-            };
-        }
-        read_all(&bytes);
+        let input = case.pick(&inputs);
+        read_all(&case.mutated(input, STEER));
     });
 }
 
@@ -110,14 +98,7 @@ fn mutated_inputs_never_panic() {
 fn spliced_inputs_never_panic() {
     let inputs = inputs();
     sweep("json_inputs_spliced", 300, |case| {
-        let (a, b) = (pick(case, &inputs), pick(case, &inputs));
-        let cut = case.usize_in(0, a.len() + 1);
-        let resume = case.usize_in(cut, a.len() + 1);
-        let start = case.usize_in(0, b.len() + 1);
-        let end = case.usize_in(start, b.len() + 1);
-        let mut bytes = a[..cut].to_vec();
-        bytes.extend_from_slice(&b[start..end]);
-        bytes.extend_from_slice(&a[resume..]);
-        read_all(&bytes);
+        let (a, b) = (case.pick(&inputs), case.pick(&inputs));
+        read_all(&case.spliced(a, b));
     });
 }

@@ -1036,7 +1036,26 @@ fn softmax_into(logits: &[f64], out: &mut Vec<f64>) {
 /// Softmax into an equal-length slice: max-shift, exponentiate, normalize
 /// — each pass in ascending index order (the op sequence of the seed
 /// implementation, so results are bit-identical).
+///
+/// A row of two finite logits takes one `exp`: the larger logit's shift
+/// `z - max` is exactly ±0.0 and `exp(±0.0)` is exactly 1, so only the
+/// smaller one's is evaluated. The sum and the divides are the loop's
+/// own (its `sum` starts from a zero that adds exactly), so every bit is
+/// the same.
 fn softmax_row(logits: &[f64], out: &mut [f64]) {
+    if let ([z0, z1], [p0, p1]) = (logits, &mut *out) {
+        if z0.is_finite() && z1.is_finite() {
+            let (e0, e1) = if z0 >= z1 {
+                (1.0, (z1 - z0).exp())
+            } else {
+                ((z0 - z1).exp(), 1.0)
+            };
+            let total = e0 + e1;
+            *p0 = e0 / total;
+            *p1 = e1 / total;
+            return;
+        }
+    }
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     for (p, z) in out.iter_mut().zip(logits) {
         *p = (z - max).exp();
@@ -1373,5 +1392,79 @@ mod tests {
             &Identity,
             &mut seeds(18),
         );
+    }
+
+    /// The softmax row as first written: fold the max, `exp` each shift,
+    /// sum in index order, divide.
+    fn seed_softmax(logits: &[f64]) -> Vec<f64> {
+        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = logits.iter().map(|z| (z - max).exp()).collect();
+        let total: f64 = exps.iter().sum();
+        exps.iter().map(|e| e / total).collect()
+    }
+
+    #[test]
+    fn softmax_row_matches_the_seed_formula_bit_for_bit() {
+        // Ties, signed zeros, shifts past exp's underflow (< -745),
+        // differences that overflow to -inf, infinities and NaN.
+        const SPECIAL: [f64; 14] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            745.5,
+            -745.5,
+            800.0,
+            -800.0,
+            1e308,
+            -1e308,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let check = |logits: &[f64]| {
+            let mut out = vec![0.0; logits.len()];
+            softmax_row(logits, &mut out);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&seed_softmax(logits)), "{logits:?}");
+        };
+        for a in SPECIAL {
+            for b in SPECIAL {
+                check(&[a, b]);
+            }
+        }
+        check(&[3.5; 10]);
+        check(&[-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]);
+        check(&[1e308, -1e308, 0.0, -800.0, 2.0, 2.0, -0.0, 1.0, -1.0, 5.0]);
+        check(&[f64::NAN, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        check(&[f64::INFINITY, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        check(&[
+            f64::NEG_INFINITY,
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            4.0,
+            5.0,
+            6.0,
+            7.0,
+            8.0,
+        ]);
+        varbench_rng::sweep::sweep("softmax_row_seed_formula", 2_000, |case| {
+            let width = if case.usize_in(0, 2) == 0 { 2 } else { 10 };
+            let scale = [1.0, 40.0, 1_000.0][case.usize_in(0, 3)];
+            let mut row = case.f64s(-scale, scale, width);
+            // Now and then a special value, or a copy of a neighbour for
+            // a tie.
+            for j in 0..width {
+                match case.usize_in(0, 8) {
+                    0 => row[j] = SPECIAL[case.usize_in(0, SPECIAL.len())],
+                    1 => row[j] = row[case.usize_in(0, width)],
+                    _ => {}
+                }
+            }
+            check(&row);
+        });
     }
 }

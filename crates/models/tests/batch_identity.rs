@@ -18,6 +18,7 @@ use varbench_data::synth::{
 use varbench_data::{Dataset, Targets};
 use varbench_models::ensemble::{EnsembleBuffer, MlpEnsemble};
 use varbench_models::linear::{LogisticRegression, RidgeRegression};
+use varbench_models::Init;
 use varbench_models::{EvalWorkspace, Mlp, MlpConfig, PredictBuffer, TrainConfig, TrainSeeds};
 use varbench_rng::{Rng, SeedTree};
 
@@ -366,4 +367,94 @@ fn noisy_training_with_jitter_reproduces_its_pinned_logits() {
         let got = logit_digest(&mlp, &ds);
         assert_eq!(got, want, "{augment:?}: digest {got:#018x}");
     }
+}
+
+/// FNV-1a over the bits of every training-set class probability.
+fn proba_digest(predict_proba: impl Fn(&[f64]) -> Vec<f64>, ds: &Dataset) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for i in 0..ds.len() {
+        for p in predict_proba(ds.x(i)) {
+            for byte in p.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn binary_softmax_heads_reproduce_their_pinned_training() {
+    // The two-class softmax row feeds every output delta in training and
+    // every probability in inference. Pinned for the two shapes that run
+    // it: logistic regression (no hidden layer) and the BERT heads (one
+    // 16-wide hidden layer, N(0, 0.2²) init, dropout 0.1). Overlapping
+    // classes with label noise keep both logits of a row in play, and
+    // 150 examples in batches of 32 end on a 22-example tail.
+    let mut data_rng = Rng::seed_from_u64(17);
+    let ds = binary_overlap(
+        &BinaryOverlapConfig {
+            n: 150,
+            dim: 16,
+            separation: 1.35,
+            label_noise: 0.12,
+            p_positive: 0.5,
+        },
+        &mut data_rng,
+    );
+    let train = TrainConfig {
+        epochs: 4,
+        batch_size: 32,
+        learning_rate: 0.03,
+        lr_gamma: 0.99,
+        ..Default::default()
+    };
+    // `LogisticRegression` keeps its `Mlp` private: its logits come from
+    // the same fit, and its probabilities must match that fit's bitwise.
+    let linear = MlpConfig {
+        hidden: vec![],
+        init: Init::GlorotUniform,
+    };
+    let logreg =
+        LogisticRegression::train(&train, &ds, &mut TrainSeeds::from_tree(&SeedTree::new(28)));
+    let twin = Mlp::train(
+        &linear,
+        &train,
+        &ds,
+        &Identity,
+        &mut TrainSeeds::from_tree(&SeedTree::new(28)),
+    );
+    for i in 0..ds.len() {
+        let (got, want) = (logreg.predict_proba(ds.x(i)), twin.predict_proba(ds.x(i)));
+        let bits = |ps: &[f64]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "logreg example {i}");
+    }
+    let bert = MlpConfig {
+        hidden: vec![16],
+        init: Init::Normal { std: 0.2 },
+    };
+    let bert_train = TrainConfig {
+        dropout: 0.1,
+        ..train.clone()
+    };
+    let head = Mlp::train(
+        &bert,
+        &bert_train,
+        &ds,
+        &Identity,
+        &mut TrainSeeds::from_tree(&SeedTree::new(29)),
+    );
+    let got = [
+        logit_digest(&twin, &ds),
+        proba_digest(|x| logreg.predict_proba(x), &ds),
+        logit_digest(&head, &ds),
+        proba_digest(|x| head.predict_proba(x), &ds),
+    ];
+    let want = [
+        0x14e9_f39a_fe42_2299,
+        0xb088_81a5_5691_593f,
+        0x69de_da28_ef48_c79e,
+        0x2474_40f8_f29c_1c21,
+    ];
+    assert_eq!(got, want, "digests {got:#018x?}");
 }

@@ -26,7 +26,8 @@ use crate::seed_tree::SeedTree;
 const HARNESS_ROOT: u64 = 0x5EED_0CA5_E5EE_D0CA;
 
 /// One generated test case: a deterministic [`Rng`] plus drawing helpers
-/// mirroring the generators the old `proptest` strategies used.
+/// mirroring the generators the old `proptest` strategies used, and the
+/// truncate, mutate and splice steps of the torn-input sweeps.
 pub struct Case {
     rng: Rng,
     index: usize,
@@ -78,6 +79,55 @@ impl Case {
     /// Vector of exactly `len` uniform `f64` draws from `[lo, hi)`.
     pub fn f64s(&mut self, lo: f64, hi: f64, len: usize) -> Vec<f64> {
         (0..len).map(|_| self.rng.uniform(lo, hi)).collect()
+    }
+
+    /// One of `items`, uniformly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is empty.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.usize_in(0, items.len())]
+    }
+
+    /// A prefix of `bytes` of uniform length in `0..=bytes.len()`: a
+    /// write torn at a random point.
+    pub fn truncated<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[..self.usize_in(0, bytes.len() + 1)]
+    }
+
+    /// `bytes` with 1 to 5 bytes overwritten at uniform positions, each
+    /// by a byte of `steer` (the syntax of the reader under test) or by
+    /// a uniform byte, at even odds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` or `steer` is empty.
+    pub fn mutated(&mut self, bytes: &[u8], steer: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..self.usize_in(1, 6) {
+            let at = self.usize_in(0, out.len());
+            out[at] = if self.usize_in(0, 2) == 0 {
+                *self.pick(steer)
+            } else {
+                self.rng.next_u64() as u8
+            };
+        }
+        out
+    }
+
+    /// The head of `a` up to a uniform cut, a uniform slice of `b`, then
+    /// the rest of `a` from a uniform point at or after the cut: two
+    /// writers interleaved, or one document spliced into another.
+    pub fn spliced(&mut self, a: &[u8], b: &[u8]) -> Vec<u8> {
+        let cut = self.usize_in(0, a.len() + 1);
+        let resume = self.usize_in(cut, a.len() + 1);
+        let start = self.usize_in(0, b.len() + 1);
+        let end = self.usize_in(start, b.len() + 1);
+        let mut out = a[..cut].to_vec();
+        out.extend_from_slice(&b[start..end]);
+        out.extend_from_slice(&a[resume..]);
+        out
     }
 }
 
@@ -141,6 +191,23 @@ mod tests {
             let v = case.vec_f64(0.0, 1.0, 1, 5);
             assert!((1..5).contains(&v.len()));
             assert!(v.iter().all(|x| (0.0..1.0).contains(x)));
+        });
+    }
+
+    #[test]
+    fn byte_helpers_stay_in_bounds() {
+        let (a, b) = (b"abcdef".as_slice(), b"XYZ".as_slice());
+        sweep("byte_helpers", 64, |case| {
+            let t = case.truncated(a);
+            assert_eq!(t, &a[..t.len()]);
+            let m = case.mutated(a, b"#");
+            assert_eq!(m.len(), a.len());
+            let changed = m.iter().zip(a).filter(|(x, y)| x != y).count();
+            assert!(changed <= 5, "{m:?}");
+            let s = case.spliced(a, b);
+            assert!(s.len() <= a.len() + b.len(), "{s:?}");
+            assert!(s.iter().all(|c| a.contains(c) || b.contains(c)), "{s:?}");
+            assert!([a, b].contains(case.pick(&[a, b])));
         });
     }
 

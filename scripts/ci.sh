@@ -48,6 +48,24 @@ for mode in "" --serial; do
         exit 1
     fi
 done
+# The binary softmax heads at quick scale, on a memory-only cache: a
+# --test linear-logreg study row trains 21 minibatches (220 examples, 3
+# epochs) where a --quick one trains 600 (2,400 examples, 8 epochs), so
+# these bytes pin long fits that the golden's short ones cannot.
+while read -r workload want; do
+    for mode in "" --serial; do
+        got=$(VARBENCH_CACHE_DIR= target/release/varbench study "$workload" --quick --json \
+            $mode 2> /dev/null | sha256sum | cut -d ' ' -f 1)
+        if [ "$got" != "$want" ]; then
+            echo "ERROR: study $workload --quick --json $mode has sha256 $got, not $want" >&2
+            exit 1
+        fi
+    done
+done <<'EOF'
+linear-logreg 3d9393684b29da8d74ef354c74b694cfcdc217b8623ab2fe2fb243079a8e4dec
+glue-rte-bert 2f381c4961e9138bbe149beed54b5e60a026b1e1bf747046e371788154739e99
+glue-sst2-bert e0a5b42d2699657b165056275ad412e796c80fd314c4096159b6a0b2cc65c50a
+EOF
 # The two non-MLP workloads must produce variance reports end to end.
 target/release/varbench run workload-linear workload-synth --test > /dev/null
 target/release/varbench cache stats
